@@ -27,12 +27,15 @@ Experiment, sweep and report commands accept engine flags:
 ``--workers N``   fan the grid out over N worker processes
 ``--shards S``    split each matrix group into S shard tasks
                   (``auto`` = one per worker; intra-matrix sharding)
-``--nnz N``       per-matrix nonzero budget (overrides REPRO_SCALE_NNZ)
+``--nnz N``       per-matrix nonzero budget
 ``--model M``     adapter timing model, ``fast`` or ``cycle``
 ``--quick``       tiny canary run (3 small matrices, 12k nonzeros)
 ``--trace PATH``  write an NDJSON span trace of the run (also honoured
-                  by serve/corpus; ``REPRO_TRACE`` supplies a default;
-                  render it with ``tools/trace_summary.py``)
+                  by stream/serve/corpus; ``REPRO_TRACE`` supplies a
+                  default; render it with ``tools/trace_summary.py``)
+
+``stream`` runs one point and takes only ``--nnz``/``--model``;
+``table1`` and ``fig6a`` have no matrix grid and take no engine flags.
 
 ``sweep`` additionally accepts ``--backend K`` to pick the sweep
 backend kind (``adapter`` default, ``system``, ``multichannel``,
@@ -55,17 +58,19 @@ warm across requests (see ARCHITECTURE.md, "Sweep as a service"):
                        port 0 binds an ephemeral port and prints it)
 ``--stdio``            JSON-lines over stdin/stdout instead of HTTP
 ``--cache N``          response-cache slots (default 128)
+``--verbose``          log each request
 ``--workers/--shards/--store``  as above (``--store`` names the result
                        store served as the experiment response cache)
 
-``corpus`` sweeps a declared matrix corpus resumably (own grammar):
+``corpus`` sweeps a declared matrix corpus resumably:
 
 ``list [NAME]``        registered corpora, or one corpus's entries
 ``run``                sweep a corpus; with ``--store`` (or ``--full``)
                        each completed matrix group is journaled and a
                        re-invocation resumes, skipping completed groups
 ``check``              re-run the committed corpus tier offline and
-                       byte-compare every ``corpus_*`` file
+                       byte-compare every ``corpus_*`` file (``--store``,
+                       default the ``--full`` tier ``results/full``)
 ``--corpus NAME``      a registered corpus (``quick``/``builtin``/
                        ``full``/``suitesparse-demo``) or a JSON manifest path
 ``--full``             corpus ``full`` into ``results/full`` with
@@ -73,160 +78,231 @@ warm across requests (see ARCHITECTURE.md, "Sweep as a service"):
 ``--kind K``           sweep backend: adapter (default), multichannel,
                        scatter
 ``--variants A,B``     variant list (default MLPnc,MLP64,MLP256,SEQ256)
+``--fmt F``            traversal format, ``sell`` (default) or ``csr``
 ``--cache DIR``        fast-load cache directory (default
                        ``results/corpus_cache`` or REPRO_CORPUS_CACHE)
 ``--offline/--fetch``  offline is the default: only cached/local
                        matrices; ``--fetch`` allows downloads
 ``--keep-going``       record failed entries and continue
+``--nnz/--model/--quick/--workers/--shards/--trace``  as above
 
-Bare ``report`` means ``report run``.  Environment knobs
-``REPRO_SCALE_NNZ``, ``REPRO_ADAPTER_MODEL``, ``REPRO_WORKERS`` and
-``REPRO_SHARDS`` supply defaults wherever the matching flag is
-omitted.
+Bare ``report`` means ``report run``.  A command line is parsed into
+the JSON request a client would send to ``serve``, and
+``repro.serve.protocol.canonicalize`` validates its knobs exactly as
+it does for the service.  Environment knobs: ``REPRO_WORKERS`` and
+``REPRO_SHARDS`` default ``--workers``/``--shards`` wherever the engine
+runs; ``REPRO_SCALE_NNZ`` and ``REPRO_ADAPTER_MODEL`` default
+``--nnz``/``--model`` for the experiment commands and ``report`` only
+(a ``--quick`` run keeps its own scale; ``sweep``, ``stream``,
+``corpus run`` and served requests never read them).
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import obs
-from .engine import SweepExecutor, grid_points, registered_kinds
+from .engine import SweepExecutor
 from .errors import ReproError
 from .experiments import format_table
-from .experiments.common import QUICK_MATRICES, QUICK_NNZ
+from .experiments.common import adapter_model_from_env, scale_from_env
+from .report.runner import PARAMLESS, RUNNERS
+from .serve.protocol import canonicalize
 
-# The single experiment registry (and its no-grid subset) lives next
-# to the report orchestration so `fig7` is only ever added once.
-from .report.runner import PARAMLESS as _PARAMLESS
-from .report.runner import RUNNERS as _RUNNERS
-
-_REPORT_MODES = ("run", "render", "check")
-
-
-@dataclass
-class _Options:
-    workers: int | None = None
-    shards: int | str | None = None
-    nnz: int | None = None
-    model: str | None = None
-    backend: str | None = None
-    quick: bool = False
-    check: bool = False
-    store: str | None = None
-    out: str | None = None
-    trace: str | None = None
+#: Parsed arguments that are request fields; everything else on a line
+#: (engine fan-out, paths, tracing) is a CLI-only setting.
+_FIELDS = ("kind", "matrices", "variants", "fmt", "max_nnz", "model", "quick", "corpus")
 
 
-def _trace_path(explicit: str | None) -> str | None:
-    """The NDJSON trace destination: ``--trace`` flag, then the
-    ``REPRO_TRACE`` environment knob, else tracing stays off."""
-    return explicit or os.environ.get("REPRO_TRACE") or None
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise :class:`ReproError` (printed as ``error: …``,
+    exit 1) instead of printing argparse usage and exiting 2."""
+
+    def error(self, message: str):
+        raise ReproError(message)
 
 
-def _parse_flags(args: list[str]) -> tuple[list[str], _Options]:
-    """Split positional arguments from engine flags."""
-    positional: list[str] = []
-    opts = _Options()
-    it = iter(args)
-    for arg in it:
-        if arg == "--quick":
-            opts.quick = True
-        elif arg == "--check":
-            opts.check = True
-        elif arg in (
-            "--workers", "--shards", "--nnz", "--model", "--backend",
-            "--store", "--out", "--trace",
-        ):
-            try:
-                value = next(it)
-            except StopIteration:
-                raise ReproError(f"{arg} needs a value") from None
-            if arg in ("--model", "--backend", "--store", "--out", "--trace"):
-                setattr(opts, arg[2:], value)
-            elif arg == "--shards":
-                if value == "auto":
-                    opts.shards = "auto"
-                else:
-                    try:
-                        opts.shards = int(value)
-                    except ValueError:
-                        raise ReproError(
-                            f"--shards needs an integer or 'auto', got {value!r}"
-                        ) from None
-            else:
-                try:
-                    setattr(opts, arg[2:], int(value))
-                except ValueError:
-                    raise ReproError(f"{arg} needs an integer, got {value!r}") from None
-        elif arg.startswith("--"):
-            raise ReproError(f"unknown flag {arg!r}")
-        else:
-            positional.append(arg)
-    if opts.workers is not None and opts.workers < 1:
-        raise ReproError("--workers must be >= 1")
-    if isinstance(opts.shards, int) and opts.shards < 1:
-        raise ReproError("--shards must be >= 1 or 'auto'")
-    if opts.nnz is not None and opts.nnz < 1000:
-        raise ReproError("--nnz must be >= 1000")
-    if opts.model not in (None, "fast", "cycle"):
-        raise ReproError(f"unknown adapter model {opts.model!r}")
-    if opts.backend is not None and opts.backend not in registered_kinds():
-        raise ReproError(
-            f"unknown sweep backend {opts.backend!r}; "
-            f"registered: {', '.join(registered_kinds())}"
+def _port(text: str) -> int:
+    """An HTTP port number (0 binds an ephemeral port)."""
+    if not text.isdecimal() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"not a port number (0-65535): {text!r}")
+    return int(text)
+
+
+def _grammar() -> tuple[_Parser, dict]:
+    """The command-line grammar and its commands' subparsers."""
+    trace = _Parser(add_help=False)
+    trace.add_argument("--trace")
+    knobs = _Parser(add_help=False)
+    knobs.add_argument("--nnz", dest="max_nnz", type=int)
+    knobs.add_argument("--model")
+    quick = _Parser(add_help=False)
+    quick.add_argument("--quick", action="store_true")
+    engine = _Parser(add_help=False)
+    engine.add_argument("--workers", type=int)
+    engine.add_argument("--shards")
+    paths = _Parser(add_help=False)
+    paths.add_argument("--store")
+    paths.add_argument("--cache")
+    grid = [trace, knobs, quick, engine]
+
+    parser = _Parser(prog="python -m repro", add_help=False, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(subparsers, name: str, parents: list, run) -> _Parser:
+        sub = subparsers.add_parser(
+            name, parents=parents, add_help=False, allow_abbrev=False
         )
-    return positional, opts
+        sub.set_defaults(run=run)
+        return sub
+
+    command(commands, "suite", [], _suite)
+    for name in RUNNERS:
+        command(commands, name, [trace] if name in PARAMLESS else grid, _experiment)
+
+    stream = command(commands, "stream", [trace, knobs], _stream)
+    # One name each; a one-item list is never split on commas.
+    stream.add_argument("matrices", nargs=1, metavar="MATRIX")
+    stream.add_argument("variants", nargs=1, metavar="VARIANT")
+
+    sweep = command(commands, "sweep", grid, _sweep)
+    sweep.add_argument("matrices")
+    sweep.add_argument("variants")
+    sweep.add_argument("--backend", dest="kind")
+
+    report = command(commands, "report", grid, _report)
+    report.add_argument("mode", nargs="?", default="run", choices=("run", "render", "check"))
+    report.add_argument("--check", action="store_true")
+    report.add_argument("--store")
+    report.add_argument("--out")
+
+    serve = command(commands, "serve", [trace, engine], _serve)
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=_port, default=8787)
+    serve.add_argument("--stdio", action="store_true")
+    serve.add_argument("--verbose", action="store_true")
+    serve.add_argument("--cache", type=int, default=128)
+    serve.add_argument("--store")
+
+    corpus = commands.add_parser("corpus", add_help=False, allow_abbrev=False)
+    modes = corpus.add_subparsers(dest="mode", required=True)
+    listing = command(modes, "list", [], _corpus_list)
+    listing.add_argument("name", nargs="?")
+    listing.add_argument("--corpus")
+    run = command(modes, "run", [trace, knobs, engine, paths], _corpus_run)
+    tier = run.add_mutually_exclusive_group()
+    tier.add_argument("--full", action="store_true")
+    tier.add_argument("--quick", action="store_true")
+    run.add_argument("--corpus")
+    run.add_argument("--kind")
+    run.add_argument("--variants")
+    run.add_argument("--fmt")
+    run.add_argument("--offline", action="store_true", default=True)
+    run.add_argument("--fetch", dest="offline", action="store_false")
+    run.add_argument("--keep-going", action="store_true")
+    check = command(modes, "check", [trace, engine, paths], _corpus_check)
+    # --full names the tier check defaults to (results/full).
+    check.add_argument("--full", action="store_true")
+    return parser, commands.choices
 
 
-def _reject_report_flags(command: str, opts: _Options) -> None:
-    if opts.check or opts.store or opts.out:
-        raise ReproError(
-            f"{command} does not accept --check/--store/--out; "
-            "they belong to the report command"
-        )
+def _payload(args, cmd: str) -> dict:
+    """The request a client would send for this line: the fields the
+    line spells out (``canonicalize`` fills in the rest)."""
+    fields = {
+        key: value for key, value in vars(args).items()
+        if key in _FIELDS and value is not None
+    }
+    return {"cmd": cmd, **fields}
 
 
-def _reject_backend_flag(command: str, opts: _Options) -> None:
-    if opts.backend:
-        raise ReproError(
-            f"{command} does not accept --backend; it selects the kind "
-            "of an ad-hoc `sweep`"
-        )
+def _executor(args) -> SweepExecutor:
+    """The engine for this line (``SweepExecutor`` checks the flags;
+    commands without them fall back to the env knobs)."""
+    return SweepExecutor(
+        getattr(args, "workers", None), shards=getattr(args, "shards", None)
+    )
 
 
-def _experiment_kwargs(name: str, opts: _Options) -> dict:
-    if name in _PARAMLESS:
-        if opts != _Options(trace=opts.trace):
-            raise ReproError(
-                f"{name} has no matrix grid; engine flags do not apply"
-            )
-        return {}
-    _reject_report_flags(name, opts)
-    _reject_backend_flag(name, opts)
-    kwargs: dict = {}
-    if opts.workers or opts.shards:
-        kwargs["executor"] = SweepExecutor(opts.workers, shards=opts.shards)
-    if opts.nnz:
-        kwargs["max_nnz"] = opts.nnz
-    if opts.model:
-        kwargs["model"] = opts.model
-    if opts.quick:
-        kwargs.setdefault("max_nnz", QUICK_NNZ)
-        kwargs["matrices"] = QUICK_MATRICES
-    return kwargs
+def _tracing(args):
+    """The ``cli.<command>`` root span, traced into ``--trace`` (else
+    the ``REPRO_TRACE`` environment knob; neither = tracing off)."""
+    path = args.trace or os.environ.get("REPRO_TRACE") or None
+    return obs.tracing(path, root=f"cli.{args.command}")
 
 
-def _cmd_suite() -> int:
+def _suite(args) -> int:
     from .sparse.suite import suite_summary
 
     print(format_table(suite_summary()))
     return 0
 
 
-def _report_paths(mode: str, opts: _Options) -> tuple[Path, Path]:
+def _experiment(args) -> int:
+    payload = {**_payload(args, "experiment"), "name": args.command}
+    if args.command not in PARAMLESS:
+        # The experiment commands' env knobs; --quick keeps its scale.
+        payload.setdefault("model", adapter_model_from_env())
+        if not args.quick:
+            payload.setdefault("max_nnz", scale_from_env())
+    request = canonicalize(payload)
+    with _executor(args) as executor, _tracing(args):
+        result = request.run(executor)
+        print(format_table(result["rows"]))
+        print("\nsummary:")
+        for key, value in result["summary"].items():
+            print(f"  {key} = {value}")
+    return 0
+
+
+def _stream(args) -> int:
+    from .axipack import fast_indirect_stream, run_indirect_stream
+    from .axipack.streams import matrix_index_stream
+    from .config import variant_config
+    from .sparse import get_matrix
+
+    request = canonicalize(_payload(args, "sweep"))
+    (matrix,), (variant,) = request.matrices, request.variants
+    with _tracing(args):
+        indices = matrix_index_stream(get_matrix(matrix, request.max_nnz), "sell")
+        run = run_indirect_stream if request.model == "cycle" else fast_indirect_stream
+        metrics = run(indices, variant_config(variant), variant=variant)
+        for key, value in metrics.summary().items():
+            print(f"{key} = {value}")
+    return 0
+
+
+def _sweep(args) -> int:
+    """Ad-hoc sweep through any registered engine backend."""
+    from .engine import get_backend
+
+    request = canonicalize(_payload(args, "sweep"))
+    # Each backend declares its own projection; None = all row columns.
+    columns = get_backend(request.kind).display_columns
+    with _executor(args) as executor, _tracing(args):
+        rows = [
+            {
+                key: (round(value, 3) if isinstance(value, float) else value)
+                for key, value in cell.items()
+                if columns is None or key in columns
+            }
+            for cell in executor.run(request.points())
+        ]
+        print(format_table(rows, list(columns) if columns else None))
+        stats = executor.last_stats
+        print(
+            f"engine: {stats['groups']} groups, {stats['tasks']} tasks, "
+            f"cache {stats['cache_hits']} hits / {stats['cache_misses']} misses "
+            f"/ {stats['cache_evictions']} evictions "
+            f"(workers={executor.workers}, shards={executor.shards})"
+        )
+    return 0
+
+
+def _report_paths(mode: str, args) -> tuple[Path, Path]:
     """Store/document locations for one report invocation.
 
     ``render``/``check`` and *canonical* quick runs (``--quick`` with
@@ -242,14 +318,14 @@ def _report_paths(mode: str, opts: _Options) -> tuple[Path, Path]:
         FULL_STORE_DIR,
     )
 
-    canonical_quick = opts.quick and opts.nnz is None and opts.model is None
+    canonical_quick = args.quick and args.max_nnz is None and args.model is None
     committed = mode in ("render", "check") or canonical_quick
-    store = Path(opts.store) if opts.store else (
+    store = Path(args.store) if args.store else (
         DEFAULT_STORE_DIR if committed else FULL_STORE_DIR
     )
-    if opts.out:
-        out = Path(opts.out)
-    elif opts.store:
+    if args.out:
+        out = Path(args.out)
+    elif args.store:
         # An explicit non-default store must never default its document
         # onto the committed EXPERIMENTS.md; keep the pair together.
         out = store / "EXPERIMENTS.md"
@@ -258,325 +334,119 @@ def _report_paths(mode: str, opts: _Options) -> tuple[Path, Path]:
     return store, out
 
 
-def _cmd_report(args: list[str], opts: _Options) -> int:
+def _report(args) -> int:
     from .report import check_report, render_report, run_report
 
-    _reject_backend_flag("report", opts)
-    if len(args) > 1 or (args and args[0] not in _REPORT_MODES):
+    knobs = (args.max_nnz, args.model, args.workers, args.shards)
+    if args.mode == "render" and (
+        args.check or args.quick or any(knob is not None for knob in knobs)
+    ):
         raise ReproError(
-            f"report takes one of {'/'.join(_REPORT_MODES)}, got {args}"
+            "report render rewrites the document from the store alone; "
+            "only --store/--out apply"
         )
-    mode = args[0] if args else "run"
-    if opts.check:
+    # A report runs every grid experiment at one configuration, so its
+    # knobs must make a valid experiment request.
+    canonicalize({**_payload(args, "experiment"), "name": "fig3"})
+    mode = "check" if args.check else args.mode
+    store, out = _report_paths(mode, args)
+    with _tracing(args):
         if mode == "render":
-            raise ReproError("--check does not combine with report render")
-        mode = "check"
-
-    store, out = _report_paths(mode, opts)
-    if mode == "render":
-        if opts != _Options(store=opts.store, out=opts.out, trace=opts.trace):
-            raise ReproError(
-                "report render rewrites the document from the store alone; "
-                "only --store/--out apply"
-            )
-        render_report(store, out)
-        return 0
-    kwargs = dict(
-        quick=opts.quick,
-        max_nnz=opts.nnz,
-        model=opts.model,
-        workers=opts.workers,
-        shards=opts.shards,
-    )
-    if mode == "check":
-        return 1 if check_report(store, out, **kwargs) else 0
-    run_report(store, out, **kwargs)
-    return 0
-
-
-def _cmd_experiment(name: str, opts: _Options) -> int:
-    result = _RUNNERS[name](**_experiment_kwargs(name, opts))
-    print(format_table(result["rows"]))
-    print("\nsummary:")
-    for key, value in result["summary"].items():
-        print(f"  {key} = {value}")
-    return 0
-
-
-def _cmd_stream(matrix: str, variant: str, opts: _Options) -> int:
-    from .axipack import fast_indirect_stream, run_indirect_stream
-    from .axipack.streams import matrix_index_stream
-    from .config import variant_config
-    from .sparse import get_matrix
-    from .sparse.suite import DEFAULT_MAX_NNZ
-
-    _reject_report_flags("stream", opts)
-    if opts.workers or opts.shards or opts.backend or opts.quick:
-        raise ReproError("stream runs one point; only --nnz/--model apply")
-    indices = matrix_index_stream(
-        get_matrix(matrix, opts.nnz or DEFAULT_MAX_NNZ), "sell"
-    )
-    run = run_indirect_stream if opts.model == "cycle" else fast_indirect_stream
-    metrics = run(indices, variant_config(variant), variant=variant)
-    for key, value in metrics.summary().items():
-        print(f"{key} = {value}")
-    return 0
-
-
-def _cmd_sweep(matrices: str, variants: str, opts: _Options) -> int:
-    """Ad-hoc sweep through any registered engine backend."""
-    from .engine import get_backend
-    from .sparse.suite import DEFAULT_MAX_NNZ
-
-    _reject_report_flags("sweep", opts)
-    executor = SweepExecutor(opts.workers, shards=opts.shards)
-    kind = opts.backend or "adapter"
-    points = grid_points(
-        kind,
-        tuple(matrices.split(",")),
-        tuple(variants.split(",")),
-        max_nnz=opts.nnz or (QUICK_NNZ if opts.quick else DEFAULT_MAX_NNZ),
-        model=opts.model or "fast",
-    )
-    # Each backend declares its own projection; None = all row columns.
-    columns = get_backend(kind).display_columns
-    rows = [
-        {
-            key: (round(value, 3) if isinstance(value, float) else value)
-            for key, value in cell.items()
-            if columns is None or key in columns
-        }
-        for cell in executor.run(points)
-    ]
-    print(format_table(rows, list(columns) if columns else None))
-    stats = executor.last_stats
-    print(
-        f"engine: {stats['groups']} groups, {stats['tasks']} tasks, "
-        f"cache {stats['cache_hits']} hits / {stats['cache_misses']} misses "
-        f"/ {stats['cache_evictions']} evictions "
-        f"(workers={executor.workers}, shards={executor.shards})"
-    )
-    return 0
-
-
-def _cmd_serve(args: list[str]) -> int:
-    """Long-lived sweep service (its own flag grammar: --port etc.)."""
-    from .serve import JobManager, serve_http, serve_stdio
-
-    def integer(flag: str, value: str, minimum: int) -> int:
-        try:
-            number = int(value)
-        except ValueError:
-            raise ReproError(f"{flag} needs an integer, got {value!r}") from None
-        if number < minimum:
-            raise ReproError(f"{flag} must be >= {minimum}")
-        return number
-
-    host, port, stdio, verbose = "127.0.0.1", 8787, False, False
-    workers: int | None = None
-    shards: int | str | None = None
-    store: str | None = None
-    trace: str | None = None
-    cache = 128
-    it = iter(args)
-    for arg in it:
-        if arg == "--stdio":
-            stdio = True
-            continue
-        if arg == "--verbose":
-            verbose = True
-            continue
-        if arg not in (
-            "--host", "--port", "--workers", "--shards", "--store",
-            "--cache", "--trace",
-        ):
-            raise ReproError(f"serve does not understand {arg!r}")
-        try:
-            value = next(it)
-        except StopIteration:
-            raise ReproError(f"{arg} needs a value") from None
-        if arg == "--host":
-            host = value
-        elif arg == "--store":
-            store = value
-        elif arg == "--trace":
-            trace = value
-        elif arg == "--port":
-            port = integer(arg, value, 0)
-        elif arg == "--workers":
-            workers = integer(arg, value, 1)
-        elif arg == "--cache":
-            cache = integer(arg, value, 1)
-        elif arg == "--shards":
-            shards = "auto" if value == "auto" else integer(arg, value, 1)
-
-    obs.logging_setup(1 if verbose else 0)
-    with obs.tracing(_trace_path(trace), root="cli.serve"):
-        manager = JobManager(
-            executor=SweepExecutor(workers, shards=shards),
-            store_dir=store,
-            cache_size=cache,
-        )
-        if stdio:
-            try:
-                serve_stdio(manager)
-            finally:
-                manager.close()
+            render_report(store, out)
             return 0
-        return serve_http(manager, host=host, port=port, verbose=verbose)
+        kwargs = dict(
+            quick=args.quick,
+            max_nnz=args.max_nnz,
+            model=args.model,
+            workers=args.workers,
+            shards=args.shards,
+        )
+        if mode == "check":
+            return 1 if check_report(store, out, **kwargs) else 0
+        run_report(store, out, **kwargs)
+    return 0
 
 
-def _cmd_corpus(args: list[str]) -> int:
-    """Resumable corpus sweeps (own flag grammar, like serve)."""
-    from .corpus import (
-        CORPUS_KINDS,
-        DEFAULT_VARIANTS,
-        CorpusRunner,
-        check_corpus,
+def _serve(args) -> int:
+    """Long-lived sweep service."""
+    from .serve import JobManager
+    from .serve.server import serve_http, serve_stdio
+
+    obs.logging_setup(1 if args.verbose else 0)
+    manager = JobManager(
+        executor=_executor(args), store_dir=args.store, cache_size=args.cache
     )
-    from .experiments.common import QUICK_NNZ
-    from .report import FULL_STORE_DIR
-    from .sparse.corpus import MatrixCache, corpus_names, get_corpus
-    from .sparse.suite import DEFAULT_MAX_NNZ
-
-    def integer(flag: str, value: str, minimum: int) -> int:
-        try:
-            number = int(value)
-        except ValueError:
-            raise ReproError(f"{flag} needs an integer, got {value!r}") from None
-        if number < minimum:
-            raise ReproError(f"{flag} must be >= {minimum}")
-        return number
-
-    modes = ("list", "run", "check")
-    positional: list[str] = []
-    corpus_name: str | None = None
-    store: str | None = None
-    trace: str | None = None
-    cache_dir: str | None = None
-    kind = "adapter"
-    variants: str | None = None
-    fmt = "sell"
-    nnz: int | None = None
-    model = "fast"
-    workers: int | None = None
-    shards: int | str | None = None
-    full = quick = fetch = keep_going = False
-    it = iter(args)
-    for arg in it:
-        if arg == "--full":
-            full = True
-        elif arg == "--quick":
-            quick = True
-        elif arg == "--offline":
-            fetch = False
-        elif arg == "--fetch":
-            fetch = True
-        elif arg == "--keep-going":
-            keep_going = True
-        elif arg in (
-            "--corpus", "--store", "--cache", "--kind", "--variants",
-            "--fmt", "--nnz", "--model", "--workers", "--shards", "--trace",
-        ):
-            try:
-                value = next(it)
-            except StopIteration:
-                raise ReproError(f"{arg} needs a value") from None
-            if arg == "--corpus":
-                corpus_name = value
-            elif arg == "--store":
-                store = value
-            elif arg == "--trace":
-                trace = value
-            elif arg == "--cache":
-                cache_dir = value
-            elif arg == "--kind":
-                if value not in CORPUS_KINDS:
-                    raise ReproError(
-                        f"corpus sweeps support kinds "
-                        f"{', '.join(CORPUS_KINDS)}, not {value!r}"
-                    )
-                kind = value
-            elif arg == "--variants":
-                variants = value
-            elif arg == "--fmt":
-                fmt = value
-            elif arg == "--nnz":
-                nnz = integer(arg, value, 1000)
-            elif arg == "--model":
-                if value not in ("fast", "cycle"):
-                    raise ReproError(f"unknown adapter model {value!r}")
-                model = value
-            elif arg == "--workers":
-                workers = integer(arg, value, 1)
-            elif arg == "--shards":
-                shards = "auto" if value == "auto" else integer(arg, value, 1)
-        elif arg.startswith("--"):
-            raise ReproError(f"corpus does not understand {arg!r}")
-        else:
-            positional.append(arg)
-    if not positional or positional[0] not in modes:
-        raise ReproError(f"corpus takes one of {'/'.join(modes)}, got {positional}")
-    mode, *positional = positional
-    if full and quick:
-        raise ReproError("--full and --quick are mutually exclusive")
-
-    cache = MatrixCache(cache_dir) if cache_dir else MatrixCache()
-    if mode == "list":
-        if positional or corpus_name:
-            corpus = get_corpus(positional[0] if positional else corpus_name)
-            print(format_table([
-                {
-                    "name": e.name, "family": e.family, "source": e.source,
-                    "where": e.path or e.url or "generator",
-                }
-                for e in corpus.entries
-            ]))
-        else:
-            print(format_table([
-                {"corpus": name, "entries": len(get_corpus(name).entries)}
-                for name in corpus_names()
-            ]))
-        return 0
-
-    if mode == "check":
-        if positional:
-            raise ReproError(f"corpus check takes no positionals: {positional}")
-        with obs.tracing(_trace_path(trace), root="cli.corpus"):
-            drift = check_corpus(
-                Path(store) if store else FULL_STORE_DIR,
-                cache=cache,
-                executor=SweepExecutor(workers, shards=shards),
-                stream=sys.stdout,
+    with _tracing(args):
+        if not args.stdio:
+            return serve_http(
+                manager, host=args.host, port=args.port, verbose=args.verbose
             )
-        for line in drift:
-            print(f"DRIFT: {line}")
-        print("corpus tier matches a fresh run" if not drift
-              else f"{len(drift)} corpus file(s) drifted")
-        return 1 if drift else 0
+        try:
+            serve_stdio(manager)
+        finally:
+            manager.close()
+    return 0
 
-    if positional:
-        raise ReproError(f"corpus run takes no positionals: {positional}")
-    if full:
-        corpus_name = corpus_name or "full"
-        store = store or str(FULL_STORE_DIR)
-    corpus = get_corpus(corpus_name or "quick")
-    runner = CorpusRunner(
-        corpus,
-        executor=SweepExecutor(workers, shards=shards),
-        store_dir=store,
-        cache=cache,
-        kind=kind,
-        variants=tuple(variants.split(",")) if variants else DEFAULT_VARIANTS,
-        fmt=fmt,
-        max_nnz=nnz or (QUICK_NNZ if quick else DEFAULT_MAX_NNZ),
-        model=model,
-        offline=not fetch,
-        keep_going=keep_going,
-        claims=full,
+
+def _corpus_list(args) -> int:
+    from .sparse.corpus import corpus_names, get_corpus
+
+    name = args.name or args.corpus
+    if name:
+        rows = [
+            {
+                "name": e.name, "family": e.family, "source": e.source,
+                "where": e.path or e.url or "generator",
+            }
+            for e in get_corpus(name).entries
+        ]
+    else:
+        rows = [
+            {"corpus": corpus, "entries": len(get_corpus(corpus).entries)}
+            for corpus in corpus_names()
+        ]
+    print(format_table(rows))
+    return 0
+
+
+def _corpus_check(args) -> int:
+    from .corpus import check_corpus
+    from .report import FULL_STORE_DIR
+    from .sparse.corpus import MatrixCache
+
+    executor = _executor(args)
+    with _tracing(args):
+        drift = check_corpus(
+            Path(args.store or FULL_STORE_DIR),
+            cache=MatrixCache(args.cache),
+            executor=executor,
+            stream=sys.stdout,
+        )
+    for line in drift:
+        print(f"DRIFT: {line}")
+    print("corpus tier matches a fresh run" if not drift
+          else f"{len(drift)} corpus file(s) drifted")
+    return 1 if drift else 0
+
+
+def _corpus_run(args) -> int:
+    """Resumable corpus sweep (``--full``: the committed tier)."""
+    from .report import FULL_STORE_DIR
+    from .sparse.corpus import MatrixCache
+
+    payload = _payload(args, "corpus")
+    if args.full:
+        payload.setdefault("corpus", "full")
+    runner = canonicalize(payload).runner(
+        _executor(args),
+        store_dir=args.store or (FULL_STORE_DIR if args.full else None),
+        cache=MatrixCache(args.cache),
+        offline=args.offline,
+        keep_going=args.keep_going,
+        claims=args.full,
         stream=sys.stdout,
     )
-    with obs.tracing(_trace_path(trace), root="cli.corpus"):
+    with _tracing(args):
         result = runner.run()
     print()
     print(format_table(result["rollup"]))
@@ -598,45 +468,20 @@ def _cmd_corpus(args: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv:
-        print(__doc__)
-        return 2
-    if argv[0] in ("--help", "-h", "help"):
+    if argv[:1] in (["--help"], ["-h"], ["help"]):
         print(__doc__)
         return 0
-    command, *rest = argv
+    parser, commands = _grammar()
+    if not argv or argv[0] not in commands:
+        print(__doc__)
+        return 2
     obs.logging_setup(0)
     try:
-        if command == "serve":
-            # serve owns its flag grammar (--port/--host/--stdio/...).
-            return _cmd_serve(rest)
-        if command == "corpus":
-            # corpus owns its flag grammar too (--corpus/--fetch/...).
-            return _cmd_corpus(rest)
-        args, opts = _parse_flags(rest)
-        if command in ("suite", *_RUNNERS) and args:
-            # Catches stray positionals and single-dash typos such as
-            # `fig4 -workers 4`, which would otherwise run the default
-            # configuration while looking like a flagged invocation.
-            raise ReproError(f"{command} takes no positional arguments: {args}")
-        if command == "suite":
-            if opts != _Options(trace=opts.trace):
-                raise ReproError("suite takes no flags")
-            return _cmd_suite()
-        with obs.tracing(_trace_path(opts.trace), root=f"cli.{command}"):
-            if command == "report":
-                return _cmd_report(args, opts)
-            if command in _RUNNERS:
-                return _cmd_experiment(command, opts)
-            if command == "stream" and len(args) == 2:
-                return _cmd_stream(args[0], args[1], opts)
-            if command == "sweep" and len(args) == 2:
-                return _cmd_sweep(args[0], args[1], opts)
+        args = parser.parse_args(argv)
+        return args.run(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(__doc__)
-    return 2
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .runner import (
     run_report,
 )
 from .store import (
-    STORE_FORMATS,
     STORE_SCHEMA_VERSION,
     ResultStore,
     format_cell,
@@ -53,7 +52,6 @@ __all__ = [
     "check_report",
     "render_report",
     "run_report",
-    "STORE_FORMATS",
     "STORE_SCHEMA_VERSION",
     "ResultStore",
     "format_cell",

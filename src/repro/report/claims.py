@@ -146,9 +146,3 @@ def corpus_claim_verdicts(summary: dict) -> list[dict]:
         _verdict_row(claim, summary.get(claim.metric, "n/a"))
         for claim in CORPUS_CLAIMS
     ]
-
-
-def paper_comparison(results: dict[str, dict]) -> list[dict]:
-    """Legacy name for :func:`claim_verdicts` (kept for callers of the
-    pre-store report module)."""
-    return claim_verdicts(results)

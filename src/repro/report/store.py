@@ -5,9 +5,7 @@ the committed quick-scale run, ``results/full/`` for full-scale runs)
 holding
 
 * ``<experiment>.csv`` — one tidy table per experiment, byte-stable
-  across reruns of the same configuration (``fmt="parquet"`` swaps the
-  table files for ``<experiment>.parquet`` behind an optional pyarrow
-  import; CSV stays the dependency-free default);
+  across reruns of the same configuration;
 * ``claims.csv`` — the machine-readable paper-claim verdicts
   (:func:`repro.report.claims.claim_verdicts`);
 * ``manifest.json`` — the run manifest: schema version, scale,
@@ -19,9 +17,7 @@ Byte stability is the store's core contract: cells are serialised with
 :func:`format_cell` (shortest-repr floats, ``\\n`` line endings) and
 parsed back with :func:`parse_cell`, so ``write → read → write``
 reproduces the file exactly and ``python -m repro report --check`` can
-diff stored tables against a fresh run.  The parquet backend keeps the
-same contract by storing the :func:`format_cell` strings as string
-columns (typed parsing happens on read, exactly as for CSV).
+diff stored tables against a fresh run.
 """
 
 from __future__ import annotations
@@ -40,27 +36,11 @@ STORE_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: Supported table serialisations.
-STORE_FORMATS = ("csv", "parquet")
-
 #: Manifest keys that may legitimately differ between two runs of the
 #: same configuration (they do not affect any stored value): the
 #: worker fan-out, the shard setting, and the cache hit/miss totals
 #: (which depend on both).
 VOLATILE_MANIFEST_KEYS = ("workers", "shards", "cache")
-
-
-def _require_pyarrow():
-    """The optional parquet dependency, or an actionable error."""
-    try:
-        import pyarrow
-        import pyarrow.parquet
-    except ImportError as exc:  # pragma: no cover - depends on env
-        raise ExperimentError(
-            "store format 'parquet' needs the optional pyarrow dependency; "
-            "install pyarrow or use the default csv format"
-        ) from exc
-    return pyarrow
 
 
 def format_cell(value) -> str:
@@ -106,25 +86,14 @@ def _columns(rows: list[dict]) -> list[str]:
 
 
 class ResultStore:
-    """Tables + manifest in one directory, written deterministically.
-
-    ``fmt`` selects the table serialisation (:data:`STORE_FORMATS`);
-    the committed reference store is always CSV, parquet is an opt-in
-    for downstream analysis pipelines and needs pyarrow.
-    """
+    """Tables + manifest in one directory, written deterministically."""
 
     def __init__(
         self,
         root: Path | str,
-        fmt: str = "csv",
         manifest_name: str = MANIFEST_NAME,
     ) -> None:
-        if fmt not in STORE_FORMATS:
-            raise ExperimentError(
-                f"unknown store format {fmt!r}; expected one of {STORE_FORMATS}"
-            )
         self.root = Path(root)
-        self.fmt = fmt
         #: the corpus runner co-locates its tier in ``results/full/``
         #: under ``corpus_manifest.json``, so a full report run and a
         #: corpus run never clobber each other's manifests.
@@ -133,13 +102,13 @@ class ResultStore:
     # -- tables ---------------------------------------------------------
 
     def table_path(self, name: str) -> Path:
-        return self.root / f"{name}.{self.fmt}"
+        return self.root / f"{name}.csv"
 
     def list_tables(self) -> list[str]:
         """Stored table names, sorted (stable across filesystems)."""
         if not self.root.is_dir():
             return []
-        return sorted(p.stem for p in self.root.glob(f"*.{self.fmt}"))
+        return sorted(p.stem for p in self.root.glob("*.csv"))
 
     def write_table(self, name: str, rows: list[dict]) -> Path:
         """Persist one result table; returns the file written."""
@@ -151,13 +120,6 @@ class ResultStore:
         ]
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.table_path(name)
-        if self.fmt == "parquet":
-            pa = _require_pyarrow()
-            table = pa.table(
-                {col: [line[i] for line in cells] for i, col in enumerate(columns)}
-            )
-            pa.parquet.write_table(table, path)
-            return path
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
@@ -170,17 +132,6 @@ class ResultStore:
         path = self.table_path(name)
         if not path.is_file():
             raise ExperimentError(f"no stored table {name!r} in {self.root}")
-        if self.fmt == "parquet":
-            pa = _require_pyarrow()
-            table = pa.parquet.read_table(path)
-            columns = table.column_names
-            return [
-                {
-                    col: (parse_cell(value) if parse else value)
-                    for col, value in zip(columns, line)
-                }
-                for line in zip(*(table[col].to_pylist() for col in columns))
-            ]
         with path.open(newline="") as handle:
             reader = csv.reader(handle)
             try:

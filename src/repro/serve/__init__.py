@@ -15,12 +15,16 @@ pool spawn + per-matrix analysis) per sweep.  The layers:
 * :mod:`repro.serve.client` — :class:`ServeClient`: the scripted HTTP
   consumer (streamed NDJSON iteration, client-side job-key reuse).
 
+The package re-exports only the job manager and the protocol, which
+``python -m repro`` imports for every command; import the HTTP front
+end and client from their own modules, so the CLI never loads
+``http.server`` or ``urllib.request``.
+
 ``benchmarks/bench_serve.py`` gates the point of it all: a warm
 repeated request must be ≥10× faster than a cold CLI invocation, with
 served rows byte-identical to a serial :class:`SweepExecutor` run.
 """
 
-from .client import ServeClient
 from .jobs import JobManager
 from .protocol import (
     ExperimentRequest,
@@ -28,17 +32,11 @@ from .protocol import (
     canonicalize,
     json_default,
 )
-from .server import ReproServer, serve_http, serve_stdio, service_stats
 
 __all__ = [
     "JobManager",
-    "ServeClient",
     "SweepRequest",
     "ExperimentRequest",
     "canonicalize",
     "json_default",
-    "ReproServer",
-    "serve_http",
-    "serve_stdio",
-    "service_stats",
 ]

@@ -45,15 +45,9 @@ from ..errors import ExperimentError, ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import names as obs_names
 from ..obs import trace as obs_trace
-from ..report.runner import DEFAULT_STORE_DIR, RUNNERS
+from ..report.runner import DEFAULT_STORE_DIR
 from ..report.store import ResultStore
-from .protocol import (
-    CorpusRequest,
-    ExperimentRequest,
-    Request,
-    SweepRequest,
-    canonicalize,
-)
+from .protocol import ExperimentRequest, Request, canonicalize
 
 logger = logging.getLogger(__name__)
 
@@ -273,38 +267,10 @@ class JobManager:
     # -- computation -------------------------------------------------------
 
     def _compute_chunks(self, request: Request):
-        """Yield lists of result rows (chunked for streaming)."""
-        if isinstance(request, SweepRequest):
-            for _key, _variants, rows in self.executor.run_stream(request.points()):
-                yield [dict(row) for row in rows]
-            return
-        if isinstance(request, CorpusRequest):
-            # Ephemeral (no journal/store): the manager's own cache
-            # layers provide the warm path for repeated corpus jobs.
-            from ..corpus import CorpusRunner
-            from ..sparse.corpus import get_corpus
-
-            runner = CorpusRunner(
-                get_corpus(request.corpus),
-                executor=self.executor,
-                kind=request.kind,
-                variants=request.variants,
-                fmt=request.fmt,
-                max_nnz=request.max_nnz,
-                model=request.model,
-            )
-            for _entry, _status, rows in runner.iter_groups():
-                if rows:
-                    yield [dict(row) for row in rows]
-            return
-        result = RUNNERS[request.name](**self._experiment_kwargs(request))
-        yield [dict(row) for row in result["rows"]]
-
-    def _experiment_kwargs(self, request: ExperimentRequest) -> dict:
-        kwargs = request.runner_kwargs()
-        if kwargs:
-            kwargs["executor"] = self.executor
-        return kwargs
+        """Yield copies of the request's result rows, chunked for
+        streaming, computed on the shared executor."""
+        for chunk in request.chunks(self.executor):
+            yield [dict(row) for row in chunk]
 
     def _store_lookup(self, request: Request) -> list[dict] | None:
         """Experiment rows from the committed store, if it matches."""

@@ -28,12 +28,20 @@ matrices, variants, formats, scale, model), an experiment key is the
 identity subset of the store manifest (name, scale, model, matrices).
 Single-flight dedup and the response cache (:mod:`repro.serve.jobs`)
 both hang off this key.
+
+``python -m repro`` builds the same payloads from its command lines,
+so the CLI and the service validate every job-identity knob here, and
+each request computes through its own methods
+(:meth:`SweepRequest.points`, :meth:`ExperimentRequest.run`,
+:meth:`CorpusRequest.runner`) whichever front end received it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
+from ..axipack.streams import FORMATS
 from ..engine import grid_points, registered_kinds
 from ..errors import ServeError
 from ..experiments.common import QUICK_MATRICES, QUICK_NNZ
@@ -81,6 +89,12 @@ class SweepRequest:
             kwargs["formats"] = self.formats
         return grid_points(self.kind, self.matrices, self.variants, **kwargs)
 
+    def chunks(self, executor) -> Iterator[list[dict]]:
+        """Result rows per completed matrix group, in completion order
+        (``executor.run(self.points())`` is the input-ordered table)."""
+        for _key, _variants, rows in executor.run_stream(self.points()):
+            yield rows
+
 
 @dataclass(frozen=True)
 class ExperimentRequest:
@@ -101,13 +115,20 @@ class ExperimentRequest:
             return ("experiment", self.name)
         return ("experiment", self.name, self.scale_nnz, self.model, self.matrices)
 
-    def runner_kwargs(self) -> dict:
+    def run(self, executor) -> dict:
+        """Run the registered runner on ``executor``; returns its
+        ``rows`` and ``summary`` (paramless runners take no engine)."""
         if self.paramless:
-            return {}
-        kwargs: dict = {"max_nnz": self.scale_nnz, "model": self.model}
+            return RUNNERS[self.name]()
+        kwargs: dict = {
+            "max_nnz": self.scale_nnz, "model": self.model, "executor": executor,
+        }
         if self.matrices is not None:
             kwargs["matrices"] = self.matrices
-        return kwargs
+        return RUNNERS[self.name](**kwargs)
+
+    def chunks(self, executor) -> Iterator[list[dict]]:
+        yield self.run(executor)["rows"]
 
 
 @dataclass(frozen=True)
@@ -135,6 +156,32 @@ class CorpusRequest:
             "corpus", self.corpus, self.digest, self.kind, self.variants,
             self.fmt, self.max_nnz, self.model,
         )
+
+    def runner(self, executor, **options):
+        """A :class:`~repro.corpus.CorpusRunner` for this sweep;
+        ``options`` are the run's non-identity settings (store, matrix
+        cache, fetching, ...), which the CLI sets and the service
+        leaves at their defaults."""
+        from ..corpus import CorpusRunner
+        from ..sparse.corpus import get_corpus
+
+        return CorpusRunner(
+            get_corpus(self.corpus),
+            executor=executor,
+            kind=self.kind,
+            variants=self.variants,
+            fmt=self.fmt,
+            max_nnz=self.max_nnz,
+            model=self.model,
+            **options,
+        )
+
+    def chunks(self, executor) -> Iterator[list[dict]]:
+        # Ephemeral (no journal/store): the service's own cache layers
+        # provide the warm path for repeated corpus jobs.
+        for _entry, _status, rows in self.runner(executor).iter_groups():
+            if rows:
+                yield rows
 
 
 Request = SweepRequest | ExperimentRequest | CorpusRequest
@@ -224,6 +271,11 @@ def _canonicalize_sweep(payload: dict) -> SweepRequest:
         raise ServeError("sweep requests need matrices and variants")
     if kind in KINDS_WITH_FORMATS:
         formats = _str_tuple(payload, "formats", default=("sell",))
+        unknown = [fmt for fmt in formats if fmt not in FORMATS]
+        if unknown:
+            raise ServeError(
+                f"unknown formats {unknown}; expected {', '.join(FORMATS)}"
+            )
     elif "formats" in payload:
         raise ServeError(f"formats does not apply to kind {kind!r}")
     else:
@@ -242,7 +294,7 @@ def _canonicalize_sweep(payload: dict) -> SweepRequest:
 def _canonicalize_experiment(payload: dict) -> ExperimentRequest:
     _check_fields(payload, _EXPERIMENT_FIELDS)
     name = payload.get("name")
-    if name not in RUNNERS:
+    if not isinstance(name, str) or name not in RUNNERS:
         raise ServeError(
             f"unknown experiment {name!r}; registered: {', '.join(RUNNERS)}"
         )
@@ -279,7 +331,7 @@ def _canonicalize_corpus(payload: dict) -> CorpusRequest:
         raise ServeError("corpus must be a corpus name")
     try:
         corpus = get_corpus(name)
-    except CorpusError as exc:
+    except (CorpusError, OSError) as exc:  # OSError: e.g. an over-long path
         raise ServeError(str(exc)) from exc
     kind = payload.get("kind", "adapter")
     if kind not in CORPUS_KINDS:
@@ -288,8 +340,10 @@ def _canonicalize_corpus(payload: dict) -> CorpusRequest:
             f"not {kind!r}"
         )
     fmt = payload.get("fmt", "sell")
-    if not isinstance(fmt, str) or not fmt:
-        raise ServeError("fmt must be a format name")
+    if fmt not in FORMATS:
+        raise ServeError(
+            f"fmt must be a format name ({', '.join(FORMATS)}), not {fmt!r}"
+        )
     quick = _bool_field(payload, "quick")
     max_nnz = _int_field(
         payload, "max_nnz",

@@ -23,7 +23,7 @@ from repro.experiments.common import (
     geomean,
     scale_from_env,
 )
-from repro.experiments.report import PAPER_CLAIMS, paper_comparison
+from repro.report.claims import PAPER_CLAIMS, claim_verdicts
 
 TINY = 12_000
 THREE = ("pwtk", "G3_circuit", "msc01440")
@@ -134,7 +134,7 @@ class TestReport:
 
     def test_paper_comparison_rows(self):
         fake = {"fig6a": {"summary": {"coal_kge_w64": 307.0}}}
-        rows = paper_comparison(fake)
+        rows = claim_verdicts(fake)
         row = next(r for r in rows if r["metric"] == "coal_kge_w64")
         assert row["paper"] == 307
         assert row["measured"] == 307.0

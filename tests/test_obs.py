@@ -35,7 +35,9 @@ from repro.engine import SweepExecutor, adapter_grid
 from repro.engine.cache import AnalysisCache
 from repro.errors import ServeError
 from repro.obs import names, profiler, trace
-from repro.serve import JobManager, ReproServer, ServeClient
+from repro.serve import JobManager
+from repro.serve.client import ServeClient
+from repro.serve.server import ReproServer
 from repro.sim import Simulator
 from repro.sim.component import Component
 from repro.sparse.corpus import Corpus, MatrixCache, synthetic_entries

@@ -6,7 +6,6 @@ quick-scale store is validated render-only (no recompute), and CI's
 docs-drift job covers the full quick re-run.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -15,7 +14,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.report import (
     PAPER_CLAIMS,
-    STORE_FORMATS,
     STORE_SCHEMA_VERSION,
     ResultStore,
     check_report,
@@ -103,11 +101,6 @@ class TestStoreRoundTrip:
         with pytest.raises(ExperimentError):
             ResultStore(tmp_path).read_table("nope")
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            ResultStore(tmp_path, fmt="xlsx")
-        assert set(STORE_FORMATS) == {"csv", "parquet"}
-
     def test_manifest_schema_is_enforced(self, tmp_path):
         store = ResultStore(tmp_path)
         with pytest.raises(ExperimentError):
@@ -119,61 +112,6 @@ class TestStoreRoundTrip:
         store.manifest_path.write_text(json.dumps(bad))
         with pytest.raises(ExperimentError):
             store.read_manifest()
-
-
-@pytest.mark.skipif(
-    importlib.util.find_spec("pyarrow") is None,
-    reason="pyarrow not installed (parquet store format is optional)",
-)
-class TestParquetStore:
-    """Optional pyarrow-backed table format (CSV stays the default).
-
-    Skipped wholesale when pyarrow is absent — the parquet backend is
-    strictly opt-in and the library never imports pyarrow otherwise.
-    """
-
-    ROWS = TestStoreRoundTrip.ROWS
-
-    def test_round_trip_restores_types(self, tmp_path):
-        store = ResultStore(tmp_path, fmt="parquet")
-        path = store.write_table("t", self.ROWS)
-        assert path.suffix == ".parquet"
-        assert store.read_table("t") == self.ROWS
-        assert store.read_table("t", parse=False)[0]["gbps"] == "3.43"
-
-    def test_rewrite_is_byte_stable(self, tmp_path):
-        store = ResultStore(tmp_path, fmt="parquet")
-        path = store.write_table("t", self.ROWS)
-        first = path.read_bytes()
-        store.write_table("t", store.read_table("t"))
-        assert path.read_bytes() == first
-
-    def test_formats_do_not_shadow_each_other(self, tmp_path):
-        ResultStore(tmp_path, fmt="parquet").write_table("t", self.ROWS)
-        csv_store = ResultStore(tmp_path)
-        assert csv_store.list_tables() == []
-        with pytest.raises(ExperimentError):
-            csv_store.read_table("t")
-        assert ResultStore(tmp_path, fmt="parquet").list_tables() == ["t"]
-
-
-def test_parquet_needs_pyarrow_error_is_actionable(tmp_path, monkeypatch):
-    """Without pyarrow the parquet store raises a repro error telling
-    the user what to install (CSV stays dependency-free)."""
-    import builtins
-
-    real_import = builtins.__import__
-
-    def no_pyarrow(name, *args, **kwargs):
-        if name.startswith("pyarrow"):
-            raise ImportError(name)
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_pyarrow)
-    store = ResultStore(tmp_path, fmt="parquet")
-    with pytest.raises(ExperimentError) as excinfo:
-        store.write_table("t", [{"a": 1}])
-    assert "pyarrow" in str(excinfo.value)
 
 
 class TestClaims:

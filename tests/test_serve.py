@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +29,9 @@ from repro.engine import SweepExecutor, adapter_grid
 from repro.errors import ExperimentError, ServeError
 from repro.experiments.common import QUICK_MATRICES, QUICK_NNZ
 from repro.report.store import ResultStore
-from repro.serve import (
-    JobManager,
-    ReproServer,
-    ServeClient,
-    canonicalize,
-    serve_stdio,
-)
+from repro.serve import JobManager, canonicalize
+from repro.serve.client import ServeClient
+from repro.serve.server import ReproServer, serve_stdio
 from repro.sparse.suite import DEFAULT_MAX_NNZ
 
 TINY = 12_000
@@ -41,6 +41,35 @@ SWEEP_REQ = {
     "variants": ["MLPnc", "MLP64"],
     "max_nnz": TINY,
 }
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+FIELDS_BY_CMD = {
+    "sweep": ("kind", "matrices", "variants", "formats", "max_nnz", "model", "quick"),
+    "experiment": ("name", "matrices", "max_nnz", "model", "quick"),
+    "corpus": ("corpus", "kind", "variants", "fmt", "max_nnz", "model", "quick"),
+}
+PLAUSIBLE_VALUES = st.sampled_from([
+    "sweep", "experiment", "corpus", "fig3", "fig6a", "quick", "adapter",
+    "system", "sell", "csr", "pwtk", "MLP64", "fast", "cycle", "pwtk,hood",
+    1000, QUICK_NNZ, True, False, ["pwtk"], ["MLP64"], ["sell"], [],
+])
+
+
+@st.composite
+def request_objects(draw) -> dict:
+    """A JSON object over one command's real field names, each value
+    plausible or arbitrary JSON."""
+    cmd = draw(st.sampled_from(sorted(FIELDS_BY_CMD)))
+    fields = draw(st.sets(st.sampled_from(FIELDS_BY_CMD[cmd] + ("cmd",))))
+    payload = {field: draw(PLAUSIBLE_VALUES | JSON_VALUES) for field in fields}
+    return {**payload, "cmd": cmd} if draw(st.booleans()) else payload
 
 
 def serial_manager() -> JobManager:
@@ -111,11 +140,27 @@ class TestCanonicalize:
             ({"cmd": "experiment", "name": "fig99"}, "unknown experiment"),
             ({"cmd": "experiment", "name": "fig6a", "quick": True}, "no matrix grid"),
             ("not a dict", "JSON object"),
+            ({"cmd": "experiment", "name": ["fig3"]}, "unknown experiment"),
+            ({"cmd": "experiment", "name": {}}, "unknown experiment"),
+            ({"matrices": ["pwtk"], "variants": ["x"], "formats": ["bogus"]}, "unknown formats"),
         ],
     )
     def test_malformed_requests_are_rejected(self, payload, fragment):
         with pytest.raises(ServeError, match=fragment):
             canonicalize(payload)
+
+    # Totality: any JSON value — including objects built from the real
+    # field names with plausible or arbitrary values — canonicalizes or
+    # raises ServeError, never another exception (which would end the
+    # stdio loop or drop an HTTP connection without a response).
+    @settings(max_examples=300, deadline=None)
+    @given(payload=JSON_VALUES | request_objects())
+    def test_canonicalize_is_total_over_json(self, payload):
+        try:
+            request = canonicalize(payload)
+        except ServeError:
+            return
+        assert isinstance(request.job_key, tuple)
 
     def test_experiment_quick_matches_committed_identity(self):
         req = canonicalize({"cmd": "experiment", "name": "fig3", "quick": True})
@@ -147,6 +192,8 @@ class TestCanonicalize:
             ({"cmd": "corpus", "fmt": ""}, "format name"),
             ({"cmd": "corpus", "max_nnz": 10}, ">= 1000"),
             ({"cmd": "corpus", "offline": False}, "unknown request fields"),
+            ({"cmd": "corpus", "fmt": "bogus"}, "format name"),
+            ({"cmd": "corpus", "corpus": "x" * 300 + ".json"}, "too long"),
         ],
     )
     def test_malformed_corpus_requests(self, payload, fragment):
@@ -509,15 +556,30 @@ class TestServeClient:
 
 
 class TestServeCli:
+    def test_cli_import_skips_the_http_stack(self):
+        # The CLI imports repro.serve for canonicalize on every start;
+        # the package must not drag in the HTTP server or client.
+        code = (
+            "import sys, repro.__main__; print(sorted(set(sys.modules) & {"
+            "'repro.serve.client', 'repro.serve.server', 'urllib.request', "
+            "'ssl', 'http.server'}))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_serve_flag_validation(self, capsys):
         from repro.__main__ import main
 
         assert main(["serve", "--port", "nope"]) == 1
-        assert "integer" in capsys.readouterr().err
+        assert "port number" in capsys.readouterr().err
         assert main(["serve", "--workers", "0"]) == 1
-        assert ">= 1" in capsys.readouterr().err
+        assert "at least one worker" in capsys.readouterr().err
         assert main(["serve", "--frobnicate"]) == 1
-        assert "serve does not understand" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_stdio_end_to_end(self, monkeypatch, capsys):
         from repro.__main__ import main

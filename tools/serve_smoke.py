@@ -29,7 +29,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.serve import ServeClient  # noqa: E402 - path bootstrap above
+from repro.serve.client import ServeClient  # noqa: E402 - path bootstrap above
 
 STARTUP_TIMEOUT_S = 30
 SHUTDOWN_TIMEOUT_S = 10
