@@ -16,7 +16,7 @@ from dataclasses import replace
 from repro.axipack import fast_indirect_stream, run_indirect_stream
 from repro.axipack.streams import matrix_index_stream
 from repro.config import AdapterConfig, CoalescerConfig, DramConfig, mlp_config
-from repro.engine import SweepExecutor, adapter_grid
+from repro.engine import SweepExecutor, grid_points
 from repro.sparse.suite import get_matrix
 
 from _bench_util import record
@@ -34,7 +34,7 @@ def test_ablation_window_sweep(benchmark):
 
     def sweep():
         cells = SweepExecutor().run(
-            adapter_grid(("pwtk",), variants, max_nnz=120_000)
+            grid_points("adapter", ("pwtk",), variants, max_nnz=120_000)
         )
         return [
             {

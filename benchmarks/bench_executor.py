@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.engine import SweepExecutor, adapter_grid
+from repro.engine import SweepExecutor, grid_points
 
 from _bench_util import record
 
@@ -38,7 +38,9 @@ CYCLE_NNZ = 12_000
 def test_bench_sharded_single_matrix_speedup(benchmark, monkeypatch):
     """>= 2.5x wall-clock at REPRO_WORKERS=4 / shards auto, rows equal."""
     monkeypatch.setenv("REPRO_WORKERS", "4")
-    points = adapter_grid((MATRIX,), VARIANTS, max_nnz=CYCLE_NNZ, model="cycle")
+    points = grid_points(
+        "adapter", (MATRIX,), VARIANTS, max_nnz=CYCLE_NNZ, model="cycle"
+    )
 
     t0 = time.perf_counter()
     serial_rows = SweepExecutor(workers=1, shards=1).run(points)
@@ -83,7 +85,7 @@ def test_bench_stream_chunk_merge_overhead(benchmark):
     chunk instead of reusing the whole-stream analysis) and match it
     byte-for-byte.  Runs serially so the overhead is isolated from pool
     scheduling."""
-    points = adapter_grid(("af_shell10",), ("MLP256",), max_nnz=120_000)
+    points = grid_points("adapter", ("af_shell10",), ("MLP256",), max_nnz=120_000)
     serial_exec = SweepExecutor(workers=1, shards=1)
     serial_rows = serial_exec.run(points)
 

@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.engine import SweepExecutor, adapter_grid
+from repro.engine import SweepExecutor, grid_points
 
 from _bench_util import record
 
@@ -75,7 +75,7 @@ def test_bench_warm_repeat_beats_cold_cli(benchmark):
 
         # Byte-identical to the serial engine (reassembled in point order;
         # chunks stream per matrix group).
-        points = adapter_grid(MATRICES, VARIANTS, max_nnz=NNZ)
+        points = grid_points("adapter", MATRICES, VARIANTS, max_nnz=NNZ)
         serial = SweepExecutor(workers=1).run(points)
         by_key = {(r["matrix"], r["variant"]): r for r in result["rows"]}
         assert [by_key[(p.matrix, p.variant)] for p in points] == serial

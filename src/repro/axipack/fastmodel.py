@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import AdapterConfig, DramConfig
-from ..mem.timeline import TimelineResult, service_timeline
+from ..mem.timeline import service_timeline
 from ..units import ceil_div
 from .metrics import AdapterMetrics
 
@@ -246,23 +246,6 @@ def coalesce_window_exact(
     return resolve_window_carry(cand, cand_win, num_win)
 
 
-def estimate_dram_cycles(
-    blocks: np.ndarray, dram: DramConfig
-) -> tuple[int, dict[str, int]]:
-    """Service cycles for a wide-transaction stream.
-
-    Thin compatibility wrapper over the bank-state timeline
-    (:func:`repro.mem.timeline.service_timeline`), which replaced the
-    analytic ``max(bus, t_rc * activates)`` bound here: the returned
-    stats keep the legacy two-counter shape (``row_changes`` /
-    ``activates``).  Callers that want the full row-hit/occupancy
-    breakdown should call the timeline directly; the legacy bound
-    itself survives as :func:`repro.mem.timeline.analytic_dram_bound`.
-    """
-    result = service_timeline(blocks, dram)
-    return result.cycles, result.legacy_stats
-
-
 def _interleave_streams(elem_blocks: np.ndarray, idx_blocks: np.ndarray) -> np.ndarray:
     """Approximate the temporal interleaving of element and index
     transactions (both progress proportionally through the stream)."""
@@ -416,9 +399,9 @@ def fast_indirect_stream(
     variants over one stream to amortise the by-value sort; a stale
     analysis (wrong element geometry, length, or sampled stream
     content — see :func:`_analysis_matches`) falls back to recomputing.
-    ``channels > 1`` models the same adapter in front of a
-    block-interleaved multi-channel memory (see
-    :func:`repro.mem.multichannel.fast_multichannel_stream`).
+    ``channels > 1`` prices a block-interleaved multi-channel memory
+    (:class:`repro.mem.multichannel.MultiChannelMemory`), one bank-state
+    timeline per channel: the ``multichannel`` sweep backend's fast path.
     """
     dram = dram_config or DramConfig()
     indices = np.ascontiguousarray(indices, dtype=np.int64)

@@ -11,11 +11,6 @@ Provenance differs between the two:
 * :func:`coalesce_window_reference` is the verbatim seed
   implementation of ``coalesce_window_exact`` — the battle-tested
   original the vectorized rewrite replaced;
-* :func:`estimate_dram_cycles_reference` is an *independent
-  re-derivation* of the legacy two-term analytic DRAM bound
-  (:func:`repro.mem.timeline.analytic_dram_bound`, formerly
-  ``fastmodel.estimate_dram_cycles``) as a one-pass open-row loop —
-  a cross-check of the walk's semantics, not its historical form;
 * :func:`service_timeline_reference` is the naive per-queue-window
   walk of the bank-state timeline contract that
   :func:`repro.mem.timeline.service_timeline` vectorises — dicts and
@@ -68,47 +63,6 @@ def coalesce_window_reference(
             tags.extend(int(b) for b in ordered)
             carry_tag = int(ordered[-1])
     return len(tags), np.asarray(tags, dtype=np.int64)
-
-
-def estimate_dram_cycles_reference(
-    blocks: np.ndarray, dram: DramConfig
-) -> tuple[int, dict[str, int]]:
-    """Oracle for :func:`repro.mem.timeline.analytic_dram_bound` (the
-    legacy two-term bound that ``fastmodel.estimate_dram_cycles``
-    computed before the bank-state timeline replaced it).
-
-    Walks the transaction stream once, tracking the open row per bank;
-    the per-bank sequences it sees are identical to the vectorized
-    stable-sort walk, so the two must agree exactly.
-    """
-    txns = int(blocks.size)
-    if txns == 0:
-        return 0, {"row_changes": 0, "activates": 0}
-    blocks = np.asarray(blocks, dtype=np.int64)
-    open_row: dict[int, int] = {}
-    activates: dict[int, int] = {}
-    row_changes = 0
-    for block in blocks:
-        bank = int(block) % dram.num_banks
-        row = int(block) // (dram.num_banks * dram.blocks_per_row)
-        if bank not in open_row:
-            activates[bank] = 1
-        elif open_row[bank] != row:
-            activates[bank] = activates[bank] + 1
-            row_changes += 1
-        open_row[bank] = row
-
-    bus_cycles = txns * dram.t_burst
-    bank_cycles = max(activates.values()) * dram.t_rc
-    cycles = max(bus_cycles, bank_cycles)
-    if dram.t_refi > 0:
-        refreshes = cycles // dram.t_refi
-        cycles += refreshes * dram.t_rfc
-    stats = {
-        "row_changes": row_changes,
-        "activates": sum(activates.values()),
-    }
-    return cycles, stats
 
 
 def service_timeline_reference(

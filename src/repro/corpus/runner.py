@@ -46,7 +46,7 @@ from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from ..engine import SweepExecutor, grid_points
+from ..engine import SweepExecutor, grid_points, index_stream_kinds
 from ..errors import CorpusError, ReproError
 from ..obs import trace as obs_trace
 from ..report.claims import corpus_claim_tolerances, corpus_claim_verdicts
@@ -64,10 +64,10 @@ from ..sparse.suite import DEFAULT_MAX_NNZ, SUITE_SEED
 
 logger = logging.getLogger(__name__)
 
-#: backend kinds a corpus can sweep.  ``system`` and ``strided`` are
-#: excluded: system sweeps need suite recipe metadata and strided
-#: sweeps have no matrix input.
-CORPUS_KINDS = ("adapter", "multichannel", "scatter")
+#: backend kinds a corpus can sweep: the kinds that read a matrix's
+#: index stream (``system`` sweeps need suite recipe metadata and
+#: ``strided`` sweeps have no matrix input).
+CORPUS_KINDS = index_stream_kinds()
 
 #: default adapter-kind variant set: the paper's no-coalescer baseline,
 #: the two headline MLP widths, and the sequential-window reference.

@@ -5,11 +5,12 @@ The experiments (Figs. 3–6, Table I, ablations) are all grids of
 per-matrix work: synthesising the matrix, deriving its index stream,
 and the stream's block-id analysis.  This package factors that into
 
-* :mod:`repro.engine.points` — :class:`SweepPoint` and grid builders,
+* :mod:`repro.engine.points` — :class:`SweepPoint`, one grid cell,
 * :mod:`repro.engine.backends` — the sweep backend protocol and
-  registry: one :class:`SweepBackend` per point kind declares how to
-  build points, evaluate a matrix group, split it into shard tasks,
-  and merge shard results deterministically,
+  registry: one :class:`SweepBackend` per point kind declares the
+  names it accepts, how to evaluate a matrix group, split it into
+  shard tasks, and merge shard results deterministically;
+  :func:`grid_points` builds every kind's grid,
 * :mod:`repro.engine.cache` — the keyed per-matrix analysis cache
   (shard/chunk identity is part of every key),
 * :mod:`repro.engine.executor` — :class:`SweepExecutor`, which groups
@@ -20,9 +21,9 @@ and the stream's block-id analysis.  This package factors that into
 Every experiment runner and benchmark goes through this engine, and
 :mod:`repro.report` persists the resulting tables.  Quick tour::
 
-    >>> from repro.engine import SweepExecutor, adapter_grid
+    >>> from repro.engine import SweepExecutor, grid_points
     >>> rows = SweepExecutor().run(
-    ...     adapter_grid(("pwtk",), ("MLP256",), max_nnz=12_000))
+    ...     grid_points("adapter", ("pwtk",), ("MLP256",), max_nnz=12_000))
     >>> rows[0]["variant"], rows[0]["cycles"] > 0
     ('MLP256', True)
 """
@@ -32,6 +33,7 @@ from .backends import (
     SweepBackend,
     get_backend,
     grid_points,
+    index_stream_kinds,
     register_backend,
     registered_kinds,
 )
@@ -49,11 +51,6 @@ from .points import (
     STRIDED_KIND,
     SYSTEM_KIND,
     SweepPoint,
-    adapter_grid,
-    multichannel_grid,
-    scatter_grid,
-    strided_grid,
-    system_grid,
 )
 
 __all__ = [
@@ -69,11 +66,7 @@ __all__ = [
     "registered_kinds",
     "get_backend",
     "grid_points",
-    "adapter_grid",
-    "system_grid",
-    "multichannel_grid",
-    "scatter_grid",
-    "strided_grid",
+    "index_stream_kinds",
     "ADAPTER_KIND",
     "SYSTEM_KIND",
     "MULTICHANNEL_KIND",

@@ -1,10 +1,11 @@
 """Sweep backend protocol and registry.
 
-A *backend* owns one :attr:`SweepPoint.kind`: it declares how to build
-grid points for that kind, how to evaluate every variant of one matrix
-group, how to **split** a group into shard tasks that fan out across
-the process pool, and how to **merge** shard results back into the
-exact rows a serial run would produce.  The executor
+A *backend* owns one :attr:`SweepPoint.kind`: it declares which
+matrix and variant names it accepts (the base class builds every
+kind's grid from them, :func:`grid_points`), how to evaluate every
+variant of one matrix group, how to **split** a group into shard tasks
+that fan out across the process pool, and how to **merge** shard
+results back into the exact rows a serial run would produce.  The executor
 (:mod:`repro.engine.executor`) is kind-agnostic — it buckets points,
 asks the registered backend to split each bucket, schedules the shard
 tasks, and hands the results back to the backend to merge.
@@ -55,7 +56,8 @@ from ..axipack.fastmodel import (
 )
 from ..axipack.metrics import AdapterMetrics
 from ..config import AdapterConfig, DramConfig, variant_config
-from ..errors import ExperimentError
+from ..errors import ConfigError, ExperimentError
+from ..sparse.corpus import is_corpus_name
 from ..sparse.suite import DEFAULT_MAX_NNZ, get_spec
 from ..units import ceil_div
 from .cache import AnalysisCache
@@ -66,11 +68,6 @@ from .points import (
     STRIDED_KIND,
     SYSTEM_KIND,
     SweepPoint,
-    adapter_grid,
-    multichannel_grid,
-    scatter_grid,
-    strided_grid,
-    system_grid,
 )
 
 
@@ -92,15 +89,21 @@ class ShardTask:
 class SweepBackend:
     """Protocol base for sweep backends (one per ``SweepPoint.kind``).
 
-    Subclasses set :attr:`kind`, implement :meth:`run_group`, and may
-    override :meth:`split` / :meth:`run_shard` / :meth:`merge` to shard
-    below variant granularity.  The base implementation shards the
-    variant list into contiguous chunks and merges by reassembling rows
-    per variant — correct for any backend whose rows are independent
-    across variants (all of the built-ins).
+    Subclasses set :attr:`kind`, implement :meth:`run_group` and
+    :meth:`check_variant`, and may override :meth:`split` /
+    :meth:`run_shard` / :meth:`merge` to shard below variant
+    granularity.  The base implementation shards the variant list into
+    contiguous chunks and merges by reassembling rows per variant —
+    correct for any backend whose rows are independent across variants
+    (all of the built-ins).
     """
 
     kind: str = ""
+
+    #: whether the kind's points read a matrix's index stream: only
+    #: those take a traversal-format axis and ``corpus:`` matrices
+    #: (:func:`index_stream_kinds`); the others get ``fmt=""``.
+    index_stream: bool = True
 
     #: column projection for ad-hoc CLI sweeps (``None`` = all row
     #: keys); lives here so the display schema stays next to the row
@@ -113,13 +116,50 @@ class SweepBackend:
         self,
         matrices: tuple[str, ...],
         variants: tuple[str, ...],
-        formats: tuple[str, ...] = ("sell",),
+        formats: tuple[str, ...] | None = None,
         max_nnz: int = DEFAULT_MAX_NNZ,
         model: str = "fast",
     ) -> list[SweepPoint]:
-        """Grid points for this kind, figure order (fmt → matrix →
-        variant).  Backends reinterpret arguments as documented by
-        their grid builder in :mod:`repro.engine.points`."""
+        """Grid points for this kind in figure order (fmt → matrix →
+        variant), once :meth:`check_names` accepts every name.
+        ``formats`` defaults to ``("sell",)``; a kind without an index
+        stream takes none and emits ``fmt=""``."""
+        if not self.index_stream:
+            if formats:
+                raise ExperimentError(
+                    f"kind {self.kind!r} has no traversal-format axis, "
+                    f"got formats {formats!r}"
+                )
+            formats = ("",)
+        self.check_names(matrices, variants)
+        return [
+            SweepPoint(matrix, variant, fmt, max_nnz, model, self.kind)
+            for fmt in (formats or ("sell",))
+            for matrix in matrices
+            for variant in variants
+        ]
+
+    def check_names(
+        self, matrices: tuple[str, ...], variants: tuple[str, ...]
+    ) -> None:
+        """Raise a :class:`~repro.errors.ReproError` on a name this
+        kind cannot evaluate: matrices must be suite (or, for
+        index-stream kinds, ``corpus:``) names, and variants must pass
+        :meth:`check_variant`."""
+        for matrix in matrices:
+            if not (self.index_stream and is_corpus_name(matrix)):
+                get_spec(matrix)
+        for variant in variants:
+            try:
+                self.check_variant(variant)
+            except ValueError as exc:  # e.g. int() of an over-long digit run
+                raise ExperimentError(
+                    f"invalid {self.kind} variant {variant[:40]!r}: {exc}"
+                ) from exc
+
+    def check_variant(self, variant: str) -> None:
+        """Parse ``variant`` the way :meth:`run_group` will, raising on
+        a label it cannot evaluate."""
         raise NotImplementedError
 
     # -- evaluation --------------------------------------------------------
@@ -205,53 +245,31 @@ def registered_kinds() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def require_backend(kind: str) -> None:
-    """Validate ``kind`` without returning the backend (point init)."""
+def get_backend(kind: str) -> SweepBackend:
+    """The registered backend for ``kind``; raises with the registered
+    names on an unknown kind."""
     if kind not in _REGISTRY:
         raise ExperimentError(
             f"unknown sweep backend kind {kind!r}; registered kinds: "
             f"{', '.join(registered_kinds())}"
         )
-
-
-def get_backend(kind: str) -> SweepBackend:
-    """The registered backend for ``kind``; raises with the registered
-    names on an unknown kind."""
-    require_backend(kind)
     return _REGISTRY[kind]
 
 
 def grid_points(kind: str, *args, **kwargs) -> list[SweepPoint]:
     """Build grid points through the registry:
-    ``grid_points("adapter", matrices, variants, ...)`` —
-    the experiments' single entry point for grid construction."""
+    ``grid_points("adapter", matrices, variants, ...)`` — the single
+    way to build a grid (see :meth:`SweepBackend.build_points`)."""
     return get_backend(kind).build_points(*args, **kwargs)
 
 
+def index_stream_kinds() -> tuple[str, ...]:
+    """Registered kinds that read a matrix index stream: the kinds with
+    a traversal-format axis, and the ones a corpus can sweep."""
+    return tuple(kind for kind, backend in _REGISTRY.items() if backend.index_stream)
+
+
 # -- adapter (and multichannel) backends ------------------------------------
-
-
-def _adapter_row(
-    point_base: tuple, variant: str, metrics: AdapterMetrics, dram: DramConfig
-) -> dict:
-    kind, matrix, fmt, max_nnz, model = point_base
-    return {
-        "kind": kind,
-        "matrix": matrix,
-        "format": fmt,
-        "variant": variant,
-        "model": model,
-        "max_nnz": max_nnz,
-        "count": metrics.count,
-        "cycles": metrics.cycles,
-        "idx_txns": metrics.idx_txns,
-        "elem_txns": metrics.elem_txns,
-        "indir_gbps": metrics.indirect_bw_gbps,
-        "elem_gbps": metrics.elem_bw_gbps,
-        "index_gbps": metrics.idx_bw_gbps,
-        "loss_gbps": metrics.loss_gbps(dram),
-        "coal_rate": metrics.coalesce_rate,
-    }
 
 
 class AdapterBackend(SweepBackend):
@@ -268,9 +286,6 @@ class AdapterBackend(SweepBackend):
         "matrix", "variant", "indir_gbps", "coal_rate", "elem_txns", "cycles",
     )
 
-    def build_points(self, *args, **kwargs) -> list[SweepPoint]:
-        return adapter_grid(*args, **kwargs)
-
     # hooks the multichannel backend overrides -----------------------------
 
     def variant_setup(self, variant: str) -> tuple[AdapterConfig, int]:
@@ -281,15 +296,29 @@ class AdapterBackend(SweepBackend):
         self, group_key: tuple, variant: str, metrics: AdapterMetrics,
         dram: DramConfig,
     ) -> dict:
-        return _adapter_row(group_key, variant, metrics, dram)
-
-    def cycle_metrics(
-        self, indices: np.ndarray, config: AdapterConfig, dram: DramConfig,
-        variant: str,
-    ) -> AdapterMetrics:
-        return run_indirect_stream(indices, config, dram, variant=variant)
+        kind, matrix, fmt, max_nnz, model = group_key
+        return {
+            "kind": kind,
+            "matrix": matrix,
+            "format": fmt,
+            "variant": variant,
+            "model": model,
+            "max_nnz": max_nnz,
+            "count": metrics.count,
+            "cycles": metrics.cycles,
+            "idx_txns": metrics.idx_txns,
+            "elem_txns": metrics.elem_txns,
+            "indir_gbps": metrics.indirect_bw_gbps,
+            "elem_gbps": metrics.elem_bw_gbps,
+            "index_gbps": metrics.idx_bw_gbps,
+            "loss_gbps": metrics.loss_gbps(dram),
+            "coal_rate": metrics.coalesce_rate,
+        }
 
     # ----------------------------------------------------------------------
+
+    def check_variant(self, variant: str) -> None:
+        self.variant_setup(variant)
 
     def run_group(
         self, group_key: tuple, variants: tuple[str, ...], cache: AnalysisCache
@@ -301,7 +330,9 @@ class AdapterBackend(SweepBackend):
         for variant in variants:
             config, channels = self.variant_setup(variant)
             if model == "cycle":
-                metrics = self.cycle_metrics(indices, config, dram, variant)
+                metrics = run_indirect_stream(
+                    indices, config, dram, variant=variant, channels=channels
+                )
             else:
                 analysis = cache.analysis(
                     matrix, fmt, max_nnz, dram.access_bytes // config.element_bytes
@@ -414,14 +445,11 @@ class MultiChannelBackend(AdapterBackend):
     """Multi-channel DRAM sweeps: the MLP256 adapter in front of an
     N-channel block-interleaved HBM (``variant`` = ``"ch<N>"``).
 
-    Rides the adapter backend's sharding machinery unchanged (including
-    exact stream chunking); only the variant interpretation, the row
-    schema, and the model entry points differ.  ``model="fast"`` runs
-    per-channel bank-state timelines
-    (:func:`repro.mem.multichannel.fast_multichannel_stream`);
-    ``model="cycle"`` wires the cycle-accurate adapter to a
-    :class:`~repro.mem.multichannel.MultiChannelMemory` — the
-    substrate the fast path is cross-validated against.
+    The adapter backend, sharding included, run at the variant's
+    channel count: ``model="fast"`` prices one bank-state timeline per
+    channel, ``model="cycle"`` wires the cycle adapter to a
+    :class:`~repro.mem.multichannel.MultiChannelMemory`.  Only the
+    variant interpretation and the row schema differ.
     """
 
     kind = MULTICHANNEL_KIND
@@ -429,9 +457,6 @@ class MultiChannelBackend(AdapterBackend):
         "matrix", "variant", "channels", "indir_gbps", "peak_gbps",
         "bw_utilization", "cycles",
     )
-
-    def build_points(self, *args, **kwargs) -> list[SweepPoint]:
-        return multichannel_grid(*args, **kwargs)
 
     def variant_setup(self, variant: str) -> tuple[AdapterConfig, int]:
         if not (variant.startswith("ch") and variant[2:].isdigit()):
@@ -442,35 +467,6 @@ class MultiChannelBackend(AdapterBackend):
         if channels < 1:
             raise ExperimentError("channel count must be >= 1")
         return variant_config("MLP256"), channels
-
-    def run_group(
-        self, group_key: tuple, variants: tuple[str, ...], cache: AnalysisCache
-    ) -> list[dict]:
-        # Route through the mem-layer entry point so the sweep and the
-        # direct API share one definition (lazy import: mem must not
-        # import axipack at module load).
-        from ..mem.multichannel import fast_multichannel_stream
-
-        kind, matrix, fmt, max_nnz, model = group_key
-        dram = DramConfig()
-        indices = cache.stream(matrix, fmt, max_nnz)
-        rows = []
-        for variant in variants:
-            config, channels = self.variant_setup(variant)
-            if model == "cycle":
-                metrics = run_indirect_stream(
-                    indices, config, dram, variant=variant, channels=channels
-                )
-            else:
-                analysis = cache.analysis(
-                    matrix, fmt, max_nnz, dram.access_bytes // config.element_bytes
-                )
-                metrics = fast_multichannel_stream(
-                    indices, channels, config, dram, variant=variant,
-                    analysis=analysis,
-                )
-            rows.append(self.row(group_key, variant, metrics, dram))
-        return rows
 
     def row(self, group_key, variant, metrics, dram) -> dict:
         kind, matrix, fmt, max_nnz, model = group_key
@@ -504,13 +500,23 @@ class SystemBackend(SweepBackend):
     (each system run is a monolithic simulation)."""
 
     kind = SYSTEM_KIND
+    index_stream = False
     display_columns = (
         "matrix", "system", "runtime_cycles", "gflops", "traffic_vs_ideal",
         "bw_utilization",
     )
 
-    def build_points(self, *args, **kwargs) -> list[SweepPoint]:
-        return system_grid(*args, **kwargs)
+    def check_variant(self, variant: str) -> None:
+        from ..vpc import PACK_SYSTEMS
+
+        if variant != "base":
+            try:
+                variant_config(PACK_SYSTEMS.get(variant, variant))
+            except ConfigError:
+                raise ExperimentError(
+                    f"unknown system {variant!r}; expected base, "
+                    f"{', '.join(PACK_SYSTEMS)} or an adapter variant"
+                ) from None
 
     def run_group(
         self, group_key: tuple, variants: tuple[str, ...], cache: AnalysisCache
@@ -561,8 +567,11 @@ class ScatterBackend(SweepBackend):
         "cycles",
     )
 
-    def build_points(self, *args, **kwargs) -> list[SweepPoint]:
-        return scatter_grid(*args, **kwargs)
+    def check_variant(self, variant: str) -> None:
+        if not variant_config(variant).has_coalescer:
+            raise ExperimentError(
+                f"the scatter path requires a coalescer; {variant!r} has none"
+            )
 
     def run_group(
         self, group_key: tuple, variants: tuple[str, ...], cache: AnalysisCache
@@ -613,24 +622,19 @@ class StridedBackend(SweepBackend):
     count, ``matrix`` a free-form workload label)."""
 
     kind = STRIDED_KIND
+    index_stream = False
     display_columns = (
         "matrix", "variant", "stride_bytes", "stream_gbps", "coal_rate",
         "elem_txns", "cycles",
     )
 
-    def build_points(
-        self,
-        matrices: tuple[str, ...] = ("linear",),
-        variants: tuple[str, ...] = ("s8", "s16", "s32", "s64"),
-        formats: tuple[str, ...] = ("",),
-        max_nnz: int = DEFAULT_MAX_NNZ,
-        model: str = "fast",
-    ) -> list[SweepPoint]:
-        return [
-            point
-            for label in matrices
-            for point in strided_grid(variants, max_nnz, label, model)
-        ]
+    def check_names(self, matrices, variants) -> None:
+        super().check_names((), variants)  # matrix is a free-form label
+
+    def check_variant(self, variant: str) -> None:
+        from ..axipack.strided import StridedBurst
+
+        StridedBurst(base=0, count=1, stride_bytes=self.stride_bytes(variant))
 
     @staticmethod
     def stride_bytes(variant: str) -> int:

@@ -206,9 +206,9 @@ class SweepExecutor:
 
     Example — the README's two-matrix adapter sweep::
 
-        >>> from repro.engine import SweepExecutor, adapter_grid
-        >>> points = adapter_grid(("pwtk", "hood"), ("MLPnc", "MLP256"),
-        ...                       max_nnz=12_000)
+        >>> from repro.engine import SweepExecutor, grid_points
+        >>> points = grid_points("adapter", ("pwtk", "hood"),
+        ...                      ("MLPnc", "MLP256"), max_nnz=12_000)
         >>> with SweepExecutor(workers=2) as executor:
         ...     rows = executor.run(points)
         >>> [round(r["indir_gbps"], 1) for r in rows[:2]]   # pwtk cells

@@ -1,8 +1,9 @@
-"""Sweep design points and grid builders.
+"""Sweep design points.
 
 A :class:`SweepPoint` names one cell of an experiment grid.  Its
 ``kind`` selects the sweep backend that evaluates it (see
-:mod:`repro.engine.backends` for the protocol and registry).  The
+:mod:`repro.engine.backends` for the protocol and registry, and
+:func:`~repro.engine.backends.grid_points` for building grids).  The
 built-in kinds:
 
 * ``adapter`` points run one adapter variant over one matrix's index
@@ -10,15 +11,15 @@ built-in kinds:
   label such as ``"MLP256"`` and ``fmt`` selects the traversal order;
 * ``system`` points run one end-to-end SpMV system over one matrix
   (Figs. 5a/5b/6b) — ``variant`` is a system name (``"base"``,
-  ``"pack0"``, ``"pack64"``, ``"pack256"``) and ``fmt`` is unused;
-* ``multichannel`` points run the paper's adapter in front of a
-  block-interleaved multi-channel HBM — ``variant`` is a channel count
-  label (``"ch2"``, ``"ch4"``, …);
+  ``"pack0"``, ``"pack64"``, ``"pack256"``) and ``fmt`` is ``""``;
+* ``multichannel`` points run the paper's MLP256 adapter in front of
+  a block-interleaved multi-channel HBM — ``variant`` is a channel
+  count label (``"ch2"``, ``"ch4"``, …);
 * ``scatter`` points run the indirect *write* (scatter) path of one
   coalescer variant over one matrix's index stream;
 * ``strided`` points run an AXI-Pack strided burst — ``variant`` is a
-  stride label (``"s16"`` = 16-byte stride) and ``max_nnz`` is the
-  element count (``matrix`` is a free-form workload label).
+  stride label (``"s16"`` = 16-byte stride), ``max_nnz`` the element
+  count and ``matrix`` a free-form workload label; ``fmt`` is ``""``.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class SweepPoint:
             )
         # The registry owns the kind list; imported here (not at module
         # top) because backends.py imports this module's constants.
-        from .backends import require_backend
+        from .backends import get_backend
 
-        require_backend(self.kind)
+        get_backend(self.kind)
 
     @property
     def group_key(self) -> tuple:
@@ -94,110 +95,3 @@ class SweepPoint:
         """
         return (*self.group_key, self.variant)
 
-
-def adapter_grid(
-    matrices: tuple[str, ...],
-    variants: tuple[str, ...],
-    formats: tuple[str, ...] = ("sell",),
-    max_nnz: int = DEFAULT_MAX_NNZ,
-    model: str = "fast",
-) -> list[SweepPoint]:
-    """The full (format × matrix × variant) adapter grid, figure order.
-
-    Format-major, then matrix, then variant — the iteration order the
-    figures tabulate in, preserved by the executor's result table::
-
-        >>> points = adapter_grid(("pwtk", "hood"), ("MLPnc", "MLP256"))
-        >>> [(p.matrix, p.variant) for p in points]
-        [('pwtk', 'MLPnc'), ('pwtk', 'MLP256'),
-         ('hood', 'MLPnc'), ('hood', 'MLP256')]
-    """
-    return [
-        SweepPoint(matrix, variant, fmt, max_nnz, model, ADAPTER_KIND)
-        for fmt in formats
-        for matrix in matrices
-        for variant in variants
-    ]
-
-
-def system_grid(
-    matrices: tuple[str, ...],
-    systems: tuple[str, ...],
-    max_nnz: int = DEFAULT_MAX_NNZ,
-    model: str = "fast",
-) -> list[SweepPoint]:
-    """The (matrix × system) end-to-end SpMV grid, figure order.
-
-    ``systems`` mixes the baseline and pack systems freely::
-
-        >>> points = system_grid(("pwtk",), ("base", "pack256"))
-        >>> [(p.variant, p.kind) for p in points]
-        [('base', 'system'), ('pack256', 'system')]
-    """
-    return [
-        SweepPoint(matrix, system, "", max_nnz, model, SYSTEM_KIND)
-        for matrix in matrices
-        for system in systems
-    ]
-
-
-def multichannel_grid(
-    matrices: tuple[str, ...],
-    channels: tuple[str, ...] = ("ch1", "ch2", "ch4"),
-    formats: tuple[str, ...] = ("sell",),
-    max_nnz: int = DEFAULT_MAX_NNZ,
-    model: str = "fast",
-) -> list[SweepPoint]:
-    """The (format × matrix × channel-count) multi-channel DRAM grid.
-
-    ``channels`` entries are ``"ch<N>"`` labels; each point runs the
-    paper's MLP256 adapter against an N-channel block-interleaved HBM
-    (:func:`repro.mem.multichannel.fast_multichannel_stream`)::
-
-        >>> [p.variant for p in multichannel_grid(("pwtk",))]
-        ['ch1', 'ch2', 'ch4']
-    """
-    return [
-        SweepPoint(matrix, label, fmt, max_nnz, model, MULTICHANNEL_KIND)
-        for fmt in formats
-        for matrix in matrices
-        for label in channels
-    ]
-
-
-def scatter_grid(
-    matrices: tuple[str, ...],
-    variants: tuple[str, ...] = ("MLP64", "MLP256", "SEQ256"),
-    formats: tuple[str, ...] = ("sell",),
-    max_nnz: int = DEFAULT_MAX_NNZ,
-    model: str = "fast",
-) -> list[SweepPoint]:
-    """The (format × matrix × coalescer-variant) scatter-write grid.
-
-    Scatter requires a coalescer, so ``variants`` must be ``MLPx`` /
-    ``SEQx`` labels (no ``MLPnc``).
-    """
-    return [
-        SweepPoint(matrix, variant, fmt, max_nnz, model, SCATTER_KIND)
-        for fmt in formats
-        for matrix in matrices
-        for variant in variants
-    ]
-
-
-def strided_grid(
-    strides: tuple[str, ...] = ("s8", "s16", "s32", "s64"),
-    count: int = DEFAULT_MAX_NNZ,
-    label: str = "linear",
-    model: str = "fast",
-) -> list[SweepPoint]:
-    """The stride-sweep grid for AXI-Pack strided bursts.
-
-    ``strides`` entries are ``"s<bytes>"`` labels; ``count`` rides in
-    the point's ``max_nnz`` slot (elements per burst) and ``label`` is
-    a free-form workload tag stored as the point's ``matrix``.
-    """
-    return [
-        SweepPoint(label, stride, "", count, model, STRIDED_KIND)
-        for stride in strides
-    ]

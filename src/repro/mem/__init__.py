@@ -8,7 +8,7 @@ from .ideal import IdealMemory
 from .multichannel import MultiChannelMemory
 from .reorder import ReorderBuffer
 from .request import MemRequest, MemResponse
-from .timeline import TimelineResult, analytic_dram_bound, service_timeline
+from .timeline import TimelineResult, service_timeline
 
 __all__ = [
     "BackingStore",
@@ -20,5 +20,4 @@ __all__ = [
     "MemResponse",
     "TimelineResult",
     "service_timeline",
-    "analytic_dram_bound",
 ]

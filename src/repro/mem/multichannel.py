@@ -6,16 +6,14 @@ across ``num_channels`` independent :class:`~repro.mem.dram.DramChannel`
 instances behind a single request/response pair, scaling peak bandwidth
 linearly — the substrate for the multi-channel ablation.
 
-:func:`fast_multichannel_stream` is the analytic counterpart and the
-entry point of the engine's ``multichannel`` sweep backend
-(:class:`repro.engine.backends.MultiChannelBackend`): the adapter's
-window-exact coalescing with one bank-state service timeline
-(:mod:`repro.mem.timeline`) per channel under this router's
-block-interleave mapping.  The cycle adapter wires to
-:class:`MultiChannelMemory` directly
-(``run_indirect_stream(..., channels=N)``), which is what the
-backend's ``model=cycle`` points run and the fast path is
-cross-validated against.
+Its analytic counterpart, ``fast_indirect_stream(..., channels=N)``
+(:mod:`repro.axipack.fastmodel`), prices one bank-state service
+timeline (:mod:`repro.mem.timeline`) per channel under this router's
+block-interleave mapping.  The engine's ``multichannel`` sweep backend
+runs it for ``model=fast`` points; its ``model=cycle`` points wire the
+cycle adapter to :class:`MultiChannelMemory` directly
+(``run_indirect_stream(..., channels=N)``), the substrate the fast
+path is cross-validated against.
 """
 
 from __future__ import annotations
@@ -117,41 +115,3 @@ class MultiChannelMemory(Component):
         busy = sum(c.busy_bus_cycles for c in self.channels)
         return min(1.0, busy / (elapsed_cycles * self.num_channels))
 
-
-def fast_multichannel_stream(
-    indices,
-    num_channels: int,
-    config=None,
-    dram_config: DramConfig | None = None,
-    variant: str = "",
-    analysis=None,
-):
-    """Analytic indirect-stream metrics over N interleaved channels.
-
-    Same window-exact coalescing as :func:`repro.axipack.fastmodel.
-    fast_indirect_stream`; the DRAM service time is the slowest of
-    ``num_channels`` per-channel bank-state timelines
-    (:func:`repro.mem.timeline.service_timeline`), each fed its slice
-    of the block-interleaved transaction stream (consecutive wide
-    blocks rotate, exactly :meth:`MultiChannelMemory.channel_of`, with
-    the channel-select bits stripped before the bank decode exactly as
-    the channels' ``channel_stride`` does).  ``config`` defaults to
-    the paper's MLP256 adapter;  ``analysis`` is the optional
-    precomputed stream analysis, as in the single-channel fast model.
-    ``num_channels == 1`` is bit-identical to ``fast_indirect_stream``.
-    """
-    # Imported lazily: the mem layer sits below axipack, which imports
-    # mem's cycle components at load time.
-    from ..axipack.fastmodel import fast_indirect_stream
-    from ..config import variant_config
-
-    if num_channels < 1:
-        raise ValueError("need at least one channel")
-    return fast_indirect_stream(
-        indices,
-        config or variant_config("MLP256"),
-        dram_config,
-        variant=variant,
-        analysis=analysis,
-        channels=num_channels,
-    )

@@ -56,9 +56,6 @@ vectorized implementation here must match it **bit-exactly** (cycles,
 stats, per-bank busy cycles) on arbitrary streams, and a differential
 tier cross-validates both against the cycle-accurate
 :class:`repro.mem.dram.DramChannel` on the matrix suite.
-
-:func:`analytic_dram_bound` preserves the legacy two-term bound for
-benchmarks and lower-bound checks.
 """
 
 from __future__ import annotations
@@ -126,13 +123,6 @@ class TimelineResult:
             "refreshes": self.refreshes,
             "queue_windows": self.queue_windows,
         }
-
-    @property
-    def legacy_stats(self) -> dict[str, int]:
-        """The two counters the old analytic bound reported:
-        ``row_changes`` (an activate over a previously open row) and
-        ``activates``."""
-        return {"row_changes": self.row_conflicts, "activates": self.activates}
 
 
 def _empty_result(dram: DramConfig) -> TimelineResult:
@@ -249,44 +239,3 @@ def service_timeline(
         queue_windows=num_windows,
     )
 
-
-def analytic_dram_bound(
-    blocks: np.ndarray, dram: DramConfig
-) -> tuple[int, dict[str, int]]:
-    """The legacy two-term service bound the timeline replaced.
-
-    ``max(bus occupancy, t_rc * max-activates-per-bank)`` over an
-    in-order open-row walk — no queue bound, no reordering.  Kept for
-    the timeline's lower-bound property checks and the
-    ``benchmarks/bench_timeline.py`` runtime gate; pinned bit-exactly
-    by :func:`repro.axipack.reference.estimate_dram_cycles_reference`.
-    """
-    txns = int(blocks.size)
-    if txns == 0:
-        return 0, {"row_changes": 0, "activates": 0}
-    banks = blocks % dram.num_banks
-    rows = blocks // (dram.num_banks * dram.blocks_per_row)
-
-    order = np.argsort(banks, kind="stable")
-    banks_sorted = banks[order]
-    rows_sorted = rows[order]
-    same_bank = banks_sorted[1:] == banks_sorted[:-1]
-    row_change = rows_sorted[1:] != rows_sorted[:-1]
-    changes_per_bank = np.bincount(
-        banks_sorted[1:][same_bank & row_change], minlength=dram.num_banks
-    )
-    present = np.bincount(banks_sorted, minlength=dram.num_banks) > 0
-    activates_per_bank = changes_per_bank + present.astype(np.int64)
-
-    bus_cycles = txns * dram.t_burst
-    bank_cycles = int(activates_per_bank.max()) * dram.t_rc
-    cycles = max(bus_cycles, bank_cycles)
-    # Refresh: the channel stalls tRFC out of every tREFI.
-    if dram.t_refi > 0:
-        refreshes = cycles // dram.t_refi
-        cycles += refreshes * dram.t_rfc
-    stats = {
-        "row_changes": int((same_bank & row_change).sum()),
-        "activates": int(activates_per_bank.sum()),
-    }
-    return cycles, stats

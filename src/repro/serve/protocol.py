@@ -17,8 +17,9 @@ Every request the sweep service accepts is a JSON object with a
 
 :func:`canonicalize` turns such a payload into a frozen request
 object: defaults are filled in, list fields become tuples, comma
-strings are split, and unknown fields are rejected with
-:class:`~repro.errors.ServeError`.  The point is the **job key**
+strings are split, and unknown fields, matrices and variants are
+rejected with :class:`~repro.errors.ServeError` — before ``accepted``,
+so a bad name never reaches the engine.  The point is the **job key**
 (:attr:`SweepRequest.job_key`): two payloads that differ only in JSON
 field order or in spelling out a defaulted knob canonicalize to the
 *same* key, and the key is built from exactly the identity the engine
@@ -42,16 +43,16 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..axipack.streams import FORMATS
-from ..engine import grid_points, registered_kinds
-from ..errors import ServeError
+from ..engine import get_backend, grid_points, index_stream_kinds, registered_kinds
+from ..errors import ReproError, ServeError
 from ..experiments.common import QUICK_MATRICES, QUICK_NNZ
 from ..report.runner import PARAMLESS, RUNNERS
-from ..sparse.suite import DEFAULT_MAX_NNZ
+from ..sparse.suite import DEFAULT_MAX_NNZ, get_spec
 
 #: Backend kinds whose grids take a traversal-format axis; for any
 #: other kind a ``formats`` field is rejected rather than silently
 #: ignored (it would split otherwise-identical job keys).
-KINDS_WITH_FORMATS = ("adapter", "multichannel", "scatter")
+KINDS_WITH_FORMATS = index_stream_kinds()
 
 _SWEEP_FIELDS = frozenset(
     {"cmd", "kind", "matrices", "variants", "formats", "max_nnz", "model", "quick"}
@@ -84,10 +85,10 @@ class SweepRequest:
 
     def points(self) -> list:
         """The request's grid, built through the backend registry."""
-        kwargs: dict = {"max_nnz": self.max_nnz, "model": self.model}
-        if self.formats:
-            kwargs["formats"] = self.formats
-        return grid_points(self.kind, self.matrices, self.variants, **kwargs)
+        return grid_points(
+            self.kind, self.matrices, self.variants, self.formats,
+            self.max_nnz, self.model,
+        )
 
     def chunks(self, executor) -> Iterator[list[dict]]:
         """Result rows per completed matrix group, in completion order
@@ -226,6 +227,15 @@ def _model_field(payload: dict) -> str:
     return model
 
 
+def _resolve(lookup, *names):
+    """``lookup(*names)`` (a corpus, suite or backend name lookup), its
+    failure raised as a ServeError (OSError: an over-long corpus path)."""
+    try:
+        return lookup(*names)
+    except (ReproError, OSError) as exc:
+        raise ServeError(str(exc)) from exc
+
+
 def _check_fields(payload: dict, allowed: frozenset) -> None:
     unknown = sorted(set(payload) - allowed)
     if unknown:
@@ -285,9 +295,11 @@ def _canonicalize_sweep(payload: dict) -> SweepRequest:
         payload, "max_nnz",
         default=QUICK_NNZ if quick else DEFAULT_MAX_NNZ, minimum=1000,
     )
+    model = _model_field(payload)
+    _resolve(get_backend(kind).check_names, matrices, variants)
     return SweepRequest(
         kind=kind, matrices=matrices, variants=variants, formats=formats,
-        max_nnz=max_nnz, model=_model_field(payload),
+        max_nnz=max_nnz, model=model,
     )
 
 
@@ -314,25 +326,23 @@ def _canonicalize_experiment(payload: dict) -> ExperimentRequest:
         payload, "max_nnz",
         default=QUICK_NNZ if quick else DEFAULT_MAX_NNZ, minimum=1000,
     )
+    model = _model_field(payload)
+    for matrix in matrices or ():
+        _resolve(get_spec, matrix)
     return ExperimentRequest(
-        name=name, scale_nnz=scale, model=_model_field(payload),
-        matrices=matrices,
+        name=name, scale_nnz=scale, model=model, matrices=matrices,
     )
 
 
 def _canonicalize_corpus(payload: dict) -> CorpusRequest:
     from ..corpus import CORPUS_KINDS, DEFAULT_VARIANTS
-    from ..errors import CorpusError
     from ..sparse.corpus import get_corpus
 
     _check_fields(payload, _CORPUS_FIELDS)
     name = payload.get("corpus", "quick")
     if not isinstance(name, str) or not name:
         raise ServeError("corpus must be a corpus name")
-    try:
-        corpus = get_corpus(name)
-    except (CorpusError, OSError) as exc:  # OSError: e.g. an over-long path
-        raise ServeError(str(exc)) from exc
+    corpus = _resolve(get_corpus, name)
     kind = payload.get("kind", "adapter")
     if kind not in CORPUS_KINDS:
         raise ServeError(
@@ -349,14 +359,17 @@ def _canonicalize_corpus(payload: dict) -> CorpusRequest:
         payload, "max_nnz",
         default=QUICK_NNZ if quick else DEFAULT_MAX_NNZ, minimum=1000,
     )
+    variants = _str_tuple(payload, "variants", default=DEFAULT_VARIANTS)
+    model = _model_field(payload)
+    _resolve(get_backend(kind).check_names, (), variants)
     return CorpusRequest(
         corpus=name,
         digest=corpus.digest,
         kind=kind,
-        variants=_str_tuple(payload, "variants", default=DEFAULT_VARIANTS),
+        variants=variants,
         fmt=fmt,
         max_nnz=max_nnz,
-        model=_model_field(payload),
+        model=model,
     )
 
 

@@ -1,4 +1,4 @@
-"""Stream and matrix builders shared across the test suite.
+"""Stream, matrix and grid builders shared across the test suite.
 
 These used to live in ``tests/conftest.py``, but ``from conftest
 import ...`` is ambiguous the moment any other collected directory
@@ -12,8 +12,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import grid_points
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
+
+#: One tiny grid's ``(matrices, variants, max_nnz)`` per registered
+#: sweep kind; every backend must appear here (the engine tests fail
+#: when a new backend forgets to).
+GRID_INPUTS = {
+    "adapter": (("pwtk",), ("MLPnc", "MLP64", "MLP256"), 12_000),
+    "system": (("pwtk",), ("base", "pack256"), 12_000),
+    "multichannel": (("pwtk",), ("ch1", "ch2", "ch4"), 12_000),
+    "scatter": (("pwtk",), ("MLP64", "MLP256"), 12_000),
+    "strided": (("linear",), ("s8", "s16", "s32"), 4096),
+}
+
+
+def tiny_grid(kind: str) -> list:
+    """The :data:`GRID_INPUTS` grid of ``kind``, built by the engine."""
+    matrices, variants, max_nnz = GRID_INPUTS[kind]
+    return grid_points(kind, matrices, variants, max_nnz=max_nnz)
 
 
 def banded_stream(count: int, jitter: int = 20, span: int = 4, seed: int = 1) -> np.ndarray:

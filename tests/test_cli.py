@@ -187,5 +187,9 @@ def test_corpus_flag_validation(capsys):
     assert "support kinds" in capsys.readouterr().err
     assert main(["corpus", "run", "--nnz", "12"]) == 1
     assert "max_nnz must be an integer >= 1000" in capsys.readouterr().err
+    # a bad variant fails before the corpus starts (no progress lines)
+    assert main(["corpus", "run", "--variants", "BOGUS"]) == 1
+    out, err = capsys.readouterr()
+    assert "unknown adapter variant" in err and not out
     assert main(["corpus", "frobnicate"]) == 1
     assert main(["corpus", "run", "--frobnicate"]) == 1

@@ -15,16 +15,18 @@ import pytest
 
 from repro.engine import (
     ADAPTER_KIND,
-    SYSTEM_KIND,
     AnalysisCache,
     SweepExecutor,
     SweepPoint,
-    adapter_grid,
-    system_grid,
+    get_backend,
+    grid_points,
+    registered_kinds,
     workers_from_env,
 )
 from repro.errors import ExperimentError
 from repro.experiments import run_fig3, run_fig4, run_fig5a, run_fig5b, run_fig6b
+
+from helpers import GRID_INPUTS
 
 TINY = 12_000
 ADAPTER_COLUMNS = {
@@ -40,19 +42,29 @@ SYSTEM_COLUMNS = {
 
 
 class TestGrids:
-    def test_adapter_grid_order_and_shape(self):
-        points = adapter_grid(
-            ("pwtk", "hood"), ("MLPnc", "MLP64"), ("sell", "csr"), TINY
-        )
-        assert len(points) == 2 * 2 * 2
-        assert points[0] == SweepPoint("pwtk", "MLPnc", "sell", TINY)
-        # format-major, then matrix, then variant — figure order.
-        assert [p.fmt for p in points[:4]] == ["sell"] * 4
-        assert points[1].variant == "MLP64"
+    @pytest.mark.parametrize("kind", registered_kinds())
+    def test_grid_order_and_shape(self, kind):
+        matrices, variants, max_nnz = GRID_INPUTS[kind]
+        matrices += ("msc01440",)
+        formats = ("sell", "csr") if get_backend(kind).index_stream else None
+        points = grid_points(kind, matrices, variants, formats, max_nnz)
+        # format-major, then matrix, then variant — figure order; kinds
+        # without an index stream carry no format.
+        assert [(p.fmt, p.matrix, p.variant) for p in points] == [
+            (fmt, matrix, variant)
+            for fmt in formats or ("",)
+            for matrix in matrices
+            for variant in variants
+        ]
+        assert {(p.kind, p.max_nnz, p.model) for p in points} == {
+            (kind, max_nnz, "fast")
+        }
 
-    def test_system_grid_kind(self):
-        points = system_grid(("pwtk",), ("base", "pack256"), TINY)
-        assert all(p.kind == SYSTEM_KIND for p in points)
+    @pytest.mark.parametrize("kind", ["system", "strided"])
+    def test_format_axis_rejected_without_index_stream(self, kind):
+        matrices, variants, max_nnz = GRID_INPUTS[kind]
+        with pytest.raises(ExperimentError, match="no traversal-format axis"):
+            grid_points(kind, matrices, variants, ("csr",), max_nnz)
 
     def test_group_key_shares_matrix_work(self):
         a = SweepPoint("pwtk", "MLPnc", "sell", TINY)
@@ -63,7 +75,9 @@ class TestGrids:
 
 class TestExecutor:
     def test_adapter_rows_schema_and_order(self):
-        points = adapter_grid(("pwtk", "msc01440"), ("MLPnc", "MLP64"), max_nnz=TINY)
+        points = grid_points(
+            "adapter", ("pwtk", "msc01440"), ("MLPnc", "MLP64"), max_nnz=TINY
+        )
         rows = SweepExecutor(workers=1).run(points)
         assert len(rows) == len(points)
         for point, row in zip(points, rows):
@@ -74,7 +88,9 @@ class TestExecutor:
 
     def test_system_rows_schema(self):
         rows = SweepExecutor(workers=1).run(
-            system_grid(("pwtk",), ("base", "pack0", "pack256"), TINY)
+            grid_points(
+                "system", ("pwtk",), ("base", "pack0", "pack256"), max_nnz=TINY
+            )
         )
         assert [set(r) for r in rows] == [SYSTEM_COLUMNS] * 3
         assert [r["system"] for r in rows] == ["base", "pack0", "pack256"]
@@ -86,10 +102,10 @@ class TestExecutor:
         assert rows[0] is not rows[1]  # caller-safe copies
 
     def test_pool_matches_serial_bit_exactly(self):
-        points = adapter_grid(
-            ("pwtk", "msc01440", "G3_circuit"), ("MLPnc", "MLP64", "MLP256"),
-            max_nnz=TINY,
-        ) + system_grid(("pwtk",), ("base", "pack256"), TINY)
+        points = grid_points(
+            "adapter", ("pwtk", "msc01440", "G3_circuit"),
+            ("MLPnc", "MLP64", "MLP256"), max_nnz=TINY,
+        ) + grid_points("system", ("pwtk",), ("base", "pack256"), max_nnz=TINY)
         serial = SweepExecutor(workers=1).run(points)
         pooled = SweepExecutor(workers=2).run(points)
         assert serial == pooled
@@ -177,7 +193,7 @@ class TestPersistentPool:
     """The executor is a reusable resource: one pool across runs."""
 
     def points(self):
-        return adapter_grid(("msc01440",), ("MLPnc", "MLP64"), max_nnz=TINY)
+        return grid_points("adapter", ("msc01440",), ("MLPnc", "MLP64"), max_nnz=TINY)
 
     def test_pool_survives_across_runs(self):
         executor = SweepExecutor(workers=2, shards=2)
@@ -266,7 +282,7 @@ class TestPersistentPool:
 
     def test_run_stream_covers_all_groups(self):
         executor = SweepExecutor(workers=1)
-        points = adapter_grid(("msc01440", "pwtk"), ("MLP64",), max_nnz=TINY)
+        points = grid_points("adapter", ("msc01440", "pwtk"), ("MLP64",), max_nnz=TINY)
         streamed = list(executor.run_stream(points))
         assert {key[1] for key, _, _ in streamed} == {"msc01440", "pwtk"}
         rows = [row for _, _, group_rows in streamed for row in group_rows]

@@ -13,7 +13,6 @@ these tests pin its contract:
   analysis can never be served where the whole-matrix one belongs.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,32 +32,14 @@ from repro.engine import (
 from repro.engine.backends import AdapterBackend
 from repro.errors import ExperimentError, ReproError
 
-TINY = 12_000
+from helpers import GRID_INPUTS, tiny_grid
 
-#: One tiny grid per registered kind — every backend must appear here
-#: (the completeness test below fails when a new backend forgets to).
-GRIDS = {
-    "adapter": lambda: grid_points(
-        "adapter", ("pwtk",), ("MLPnc", "MLP64", "MLP256"), max_nnz=TINY
-    ),
-    "system": lambda: grid_points(
-        "system", ("pwtk",), ("base", "pack256"), max_nnz=TINY
-    ),
-    "multichannel": lambda: grid_points(
-        "multichannel", ("pwtk",), ("ch1", "ch2", "ch4"), max_nnz=TINY
-    ),
-    "scatter": lambda: grid_points(
-        "scatter", ("pwtk",), ("MLP64", "MLP256"), max_nnz=TINY
-    ),
-    "strided": lambda: grid_points(
-        "strided", ("linear",), ("s8", "s16", "s32"), max_nnz=4096
-    ),
-}
+TINY = 12_000
 
 
 class TestRegistry:
     def test_every_registered_backend_has_a_test_grid(self):
-        assert set(GRIDS) == set(registered_kinds())
+        assert set(GRID_INPUTS) == set(registered_kinds())
 
     def test_unknown_kind_raises_with_registered_names(self):
         with pytest.raises(ExperimentError) as excinfo:
@@ -93,8 +74,8 @@ class TestRegistry:
             register_backend(Anonymous())
 
     def test_grid_points_dispatches_per_kind(self):
-        for kind, build in GRIDS.items():
-            points = build()
+        for kind in GRID_INPUTS:
+            points = tiny_grid(kind)
             assert points, kind
             assert all(p.kind == kind for p in points)
 
@@ -102,11 +83,11 @@ class TestRegistry:
 class TestShardingMatchesSerial:
     """merge(split(...)) == run_group(...) for every backend."""
 
-    @pytest.mark.parametrize("kind", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", sorted(GRID_INPUTS))
     @settings(max_examples=6, deadline=None)
     @given(shards=st.integers(min_value=1, max_value=9))
     def test_sharded_equals_serial(self, kind, shards):
-        points = GRIDS[kind]()
+        points = tiny_grid(kind)
         serial = SweepExecutor(workers=1, shards=1).run(points)
         sharded = SweepExecutor(workers=1, shards=shards).run(points)
         assert serial == sharded
@@ -123,7 +104,7 @@ class TestShardingMatchesSerial:
 
     def test_pooled_sharded_equals_serial(self):
         points = (
-            GRIDS["adapter"]() + GRIDS["system"]() + GRIDS["multichannel"]()
+            tiny_grid("adapter") + tiny_grid("system") + tiny_grid("multichannel")
         )
         serial = SweepExecutor(workers=1, shards=1).run(points)
         pooled = SweepExecutor(workers=2, shards=4).run(points)
@@ -244,7 +225,7 @@ class TestBackendValidation:
             backend.stride_bytes("x16")
 
     def test_multichannel_bandwidth_never_degrades(self):
-        rows = SweepExecutor(workers=1).run(GRIDS["multichannel"]())
+        rows = SweepExecutor(workers=1).run(tiny_grid("multichannel"))
         gbps = [row["indir_gbps"] for row in rows]
         assert gbps == sorted(gbps)
         assert rows[0]["channels"] == 1 and rows[-1]["channels"] == 4
@@ -252,13 +233,14 @@ class TestBackendValidation:
 
 
 def test_multichannel_ch1_matches_single_channel_fast_model():
-    """The mem-layer entry point degenerates exactly at one channel."""
-    from repro.axipack.fastmodel import fast_indirect_stream
-    from repro.config import variant_config
-    from repro.mem.multichannel import fast_multichannel_stream
-
-    rng = np.random.default_rng(7)
-    idx = rng.integers(0, 50_000, 20_000)
-    single = fast_indirect_stream(idx, variant_config("MLP256"))
-    multi = fast_multichannel_stream(idx, 1)
-    assert (single.cycles, single.elem_txns) == (multi.cycles, multi.elem_txns)
+    """One channel degenerates exactly to the adapter backend's MLP256
+    row: both run ``fast_indirect_stream`` on the same stream."""
+    executor = SweepExecutor(workers=1)
+    (single,) = executor.run(
+        grid_points("adapter", ("pwtk",), ("MLP256",), max_nnz=TINY)
+    )
+    (multi,) = executor.run(
+        grid_points("multichannel", ("pwtk",), ("ch1",), max_nnz=TINY)
+    )
+    for column in ("count", "cycles", "idx_txns", "elem_txns", "indir_gbps"):
+        assert single[column] == multi[column], column

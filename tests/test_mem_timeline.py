@@ -7,9 +7,7 @@ subsystem: replaying a transaction stream through
 ``TIMELINE_TOLERANCE`` of driving the same stream through the
 cycle-accurate FR-FCFS :class:`repro.mem.dram.DramChannel` — on the
 matrix suite's real warp-tag streams *and* on adversarial bank/row
-patterns — and must track the channel strictly tighter than the legacy
-two-term bound (:func:`repro.mem.timeline.analytic_dram_bound`) does
-on the same streams.
+patterns.
 
 Tolerances (referenced by README/ARCHITECTURE):
 
@@ -19,10 +17,7 @@ Tolerances (referenced by README/ARCHITECTURE):
   hammer, two-row ping-pong) stay within ``TIMELINE_TOLERANCE`` =
   ratio in [0.70, 1.35] — the queue-serial replay is conservative-low
   on pure activate chains (no t_RP/t_RCD modelling) and
-  conservative-high on scattered traffic (whole-window barriers);
-* the legacy bound misses the same adversarial set by up to ~19x
-  (it prices reorderable row ping-pong as a full activate chain), so
-  the "tighter than the analytic bound" assertion has real margin.
+  conservative-high on scattered traffic (whole-window barriers).
 """
 
 import math
@@ -35,17 +30,12 @@ from repro.mem.backing_store import BackingStore
 from repro.mem.dram import DramChannel
 from repro.mem.multichannel import MultiChannelMemory
 from repro.mem.request import MemRequest
-from repro.mem.timeline import (
-    TimelineResult,
-    analytic_dram_bound,
-    service_timeline,
-)
+from repro.mem.timeline import TimelineResult, service_timeline
 from repro.sim.clock import Simulator
 
 #: Declared differential tolerance: timeline service cycles vs the
 #: cycle-accurate channel, as a ratio band over every stream in the
-#: differential set.  The legacy analytic bound violates this band by
-#: more than an order of magnitude on the reorderable streams.
+#: differential set.
 TIMELINE_TOLERANCE = (0.70, 1.35)
 
 
@@ -93,9 +83,8 @@ def suite_streams(matrices, max_nnz=12_000, nc_budget=3000):
 
 
 def adversarial_streams(dram: DramConfig):
-    """Bank/row patterns that separate the timeline from the legacy
-    bound: scattered traffic, a single-bank row hammer, and a
-    reorderable two-row ping-pong."""
+    """Bank/row stress patterns: scattered traffic, a single-bank row
+    hammer, and a reorderable two-row ping-pong."""
     rng = np.random.default_rng(11)
     bank_stride = dram.num_banks * dram.blocks_per_row
     return {
@@ -180,40 +169,24 @@ class TestDifferentialVsCycleChannel:
             blocks = np.asarray(blocks, dtype=np.int64)
             sim_cycles = drive_channel(blocks, dram)
             timeline = service_timeline(blocks, dram).cycles
-            legacy = analytic_dram_bound(blocks, dram)[0]
-            rows.append((name, timeline / sim_cycles, legacy / sim_cycles))
+            rows.append((name, timeline / sim_cycles))
         return rows
 
     def test_suite_streams_within_tolerance(self):
         lo, hi = TIMELINE_TOLERANCE
-        for name, timeline_ratio, _ in self._ratios(suite_streams(self.QUICK)):
+        for name, timeline_ratio in self._ratios(suite_streams(self.QUICK)):
             assert lo <= timeline_ratio <= hi, (name, timeline_ratio)
             # Bus-bound regime: the timeline actually sits much closer.
             assert 0.90 <= timeline_ratio <= 1.05, (name, timeline_ratio)
 
-    def test_adversarial_streams_within_tolerance_and_tighter_than_legacy(self):
-        """The declared band holds on the bank/row stress set, where
-        the legacy bound misses by an order of magnitude."""
+    def test_adversarial_streams_within_tolerance(self):
+        """The declared band holds on the bank/row stress set,
+        including the reorderable two-row ping-pong that FR-FCFS
+        serves as row hits."""
         lo, hi = TIMELINE_TOLERANCE
         rows = self._ratios(adversarial_streams(DramConfig()))
-        worst_timeline = max(abs(math.log(t)) for _, t, _ in rows)
-        worst_legacy = max(abs(math.log(l)) for _, _, l in rows)
-        for name, timeline_ratio, _ in rows:
+        for name, timeline_ratio in rows:
             assert lo <= timeline_ratio <= hi, (name, timeline_ratio)
-        assert worst_timeline < worst_legacy
-        # The reorderable ping-pong is the legacy bound's blind spot.
-        pingpong = dict((n, (t, l)) for n, t, l in rows)["two-row-pingpong"]
-        assert pingpong[1] > 5.0 and lo <= pingpong[0] <= hi
-
-    def test_whole_stream_set_tighter_than_legacy(self):
-        """Across suite + adversarial streams together, the timeline's
-        worst log-ratio error must beat the legacy bound's."""
-        streams = suite_streams(self.QUICK)
-        streams.update(adversarial_streams(DramConfig()))
-        rows = self._ratios(streams)
-        worst_timeline = max(abs(math.log(t)) for _, t, _ in rows)
-        worst_legacy = max(abs(math.log(l)) for _, _, l in rows)
-        assert worst_timeline < worst_legacy
 
 
 @pytest.mark.slow

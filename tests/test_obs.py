@@ -31,7 +31,7 @@ from repro.__main__ import main
 from repro.axipack.adapter import run_indirect_stream
 from repro.config import mlp_config, nocoalescer_config, seq_config
 from repro.corpus import CorpusRunner
-from repro.engine import SweepExecutor, adapter_grid
+from repro.engine import SweepExecutor, grid_points
 from repro.engine.cache import AnalysisCache
 from repro.errors import ServeError
 from repro.obs import names, profiler, trace
@@ -152,7 +152,7 @@ class TestCanonicalNames:
     def test_executor_stats_keys(self):
         executor = SweepExecutor(workers=1)
         assert tuple(executor.stats) == names.ENGINE_TOTAL_STATS
-        executor.run(adapter_grid(("msc01440",), ("MLPnc",), max_nnz=TINY))
+        executor.run(grid_points("adapter", ("msc01440",), ("MLPnc",), max_nnz=TINY))
         assert tuple(executor.last_stats) == names.ENGINE_RUN_STATS
 
     def test_job_manager_stats_keys(self):
@@ -266,8 +266,9 @@ class TestWorkerPropagation:
         trace.configure(sink)
         # cycle model: the shard simulations profile in the workers and
         # the bins must ship back with the spans
-        points = adapter_grid(
-            ("msc01440",), ("MLPnc", "MLP64"), max_nnz=4_000, model="cycle"
+        points = grid_points(
+            "adapter", ("msc01440",), ("MLPnc", "MLP64"), max_nnz=4_000,
+            model="cycle",
         )
         with profiler.profiled() as cycles:
             with SweepExecutor(workers=2, shards="auto") as executor:
@@ -291,7 +292,7 @@ class TestWorkerPropagation:
     def test_serial_run_traces_in_process(self):
         sink = obs.CollectingSink()
         trace.configure(sink)
-        points = adapter_grid(("msc01440",), ("MLPnc",), max_nnz=TINY)
+        points = grid_points("adapter", ("msc01440",), ("MLPnc",), max_nnz=TINY)
         SweepExecutor(workers=1).run(points)
         names_seen = [record["name"] for record in sink.drain()]
         assert names_seen.count("engine.run") == 1

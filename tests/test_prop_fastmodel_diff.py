@@ -8,23 +8,21 @@ wide-access counts, same warp tags in the same issue order, same cycle
 counts and service stats — on arbitrary block streams, window sizes,
 and queue depths.
 
-Three vectorized kernels are pinned here:
+Two vectorized kernels are pinned here:
 
 * :func:`~repro.axipack.fastmodel.coalesce_window_exact` against the
   seed per-window loop;
 * :func:`~repro.mem.timeline.service_timeline` (the bank-state DRAM
   timeline) against its walking oracle, including adversarial
   single-bank and row-thrash streams where the bank dimension
-  degenerates;
-* :func:`~repro.mem.timeline.analytic_dram_bound` (the legacy two-term
-  bound the timeline replaced, kept for benchmarks and bounds checks)
-  against its open-row loop.
+  degenerates.
 
-The legacy bound also serves as a *lower-bound check*: on row-thrash
-streams — globally distinct rows, so FR-FCFS reordering has nothing to
-merge — the timeline's queue-serial replay can never undercut the
-legacy ``max(bus, t_rc * activates)``, and the pure bus-occupancy term
-is a floor on every stream.
+Oracle-independent floors back the timeline up: on row-thrash streams
+— globally distinct rows, so FR-FCFS reordering has nothing to merge —
+the queue-serial replay can never undercut the in-order two-term bound
+``max(bus, t_rc * busiest bank's activates)``, the pure bus-occupancy
+term is a floor on every stream, and reordering never needs more
+activates than an in-order open-row walk.
 """
 
 import numpy as np
@@ -35,15 +33,13 @@ from repro.axipack.fastmodel import (
     analyze_stream,
     block_sort_order,
     coalesce_window_exact,
-    estimate_dram_cycles,
 )
 from repro.axipack.reference import (
     coalesce_window_reference,
-    estimate_dram_cycles_reference,
     service_timeline_reference,
 )
 from repro.config import DramConfig
-from repro.mem.timeline import analytic_dram_bound, service_timeline
+from repro.mem.timeline import service_timeline
 
 
 @st.composite
@@ -89,8 +85,8 @@ def single_bank_streams(draw):
 @st.composite
 def row_thrash_streams(draw):
     """Globally distinct rows (strictly increasing per bank): FR-FCFS
-    reordering has nothing to merge, so the timeline's activate count
-    equals the legacy walk's and the legacy bound is a true floor."""
+    reordering has nothing to merge, so every transaction is an
+    activate and the in-order two-term bound is a true floor."""
     dram = DramConfig()
     count = draw(st.integers(min_value=1, max_value=400))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
@@ -179,15 +175,20 @@ class TestTimelineDifferential:
     @given(blocks=row_thrash_streams(), queue_depth=queue_depths)
     @settings(max_examples=150, deadline=None)
     def test_row_thrash_never_undercuts_legacy_bound(self, blocks, queue_depth):
-        """Globally distinct rows: reordering merges nothing, so the
-        timeline's activate count equals the legacy walk's and the
-        legacy two-term bound is a floor on the replay."""
+        """Globally distinct rows: reordering merges nothing, so every
+        transaction is an activate and the legacy two-term bound —
+        ``max(bus, t_rc * busiest bank's activates)`` plus refresh — is
+        a floor on the replay."""
         dram = DramConfig()
         result = assert_timeline_matches_oracle(blocks, dram, queue_depth)
-        legacy_cycles, legacy_stats = analytic_dram_bound(blocks, dram)
-        assert result.activates == legacy_stats["activates"]
+        n = int(blocks.size)
+        busiest = int(np.bincount(blocks % dram.num_banks).max())
+        floor = max(n * dram.t_burst, busiest * dram.t_rc)
+        if dram.t_refi > 0:
+            floor += floor // dram.t_refi * dram.t_rfc
+        assert result.activates == n
         assert result.row_hits == 0
-        assert result.cycles >= legacy_cycles
+        assert result.cycles >= floor
 
     @given(blocks=block_streams(), queue_depth=queue_depths)
     @settings(max_examples=100, deadline=None)
@@ -202,50 +203,16 @@ class TestTimelineDifferential:
         n = int(blocks.size)
         assert result.cycles >= n * dram.t_burst
         assert result.transactions == n
-        _, legacy_stats = analytic_dram_bound(blocks, dram)
         if n:
-            assert result.activates <= legacy_stats["activates"]
+            # In-order open-row walk: each bank's first request, then
+            # every change of row between its consecutive requests.
+            banks = blocks % dram.num_banks
+            rows = blocks // (dram.num_banks * dram.blocks_per_row)
+            by_bank = np.argsort(banks, kind="stable")
+            bank, row = banks[by_bank], rows[by_bank]
+            in_order = 1 + np.count_nonzero(
+                (bank[1:] != bank[:-1]) | (row[1:] != row[:-1])
+            )
+            assert result.activates <= in_order
             assert result.bank_busy.max() <= result.cycles
             assert (result.occupancy() <= 1.0).all()
-
-    @given(blocks=block_streams())
-    @settings(max_examples=50, deadline=None)
-    def test_estimate_dram_cycles_is_a_timeline_wrapper(self, blocks):
-        """The fastmodel entry point is a thin compatibility shim: same
-        cycles as the timeline, stats in the legacy two-counter shape."""
-        dram = DramConfig()
-        cycles, stats = estimate_dram_cycles(blocks, dram)
-        result = service_timeline(blocks, dram)
-        assert cycles == result.cycles
-        assert stats == {
-            "row_changes": result.row_conflicts,
-            "activates": result.activates,
-        }
-
-
-class TestLegacyBoundDifferential:
-    """The retired analytic bound stays pinned to its own oracle (it
-    still anchors the lower-bound checks and the timeline benchmark)."""
-
-    @given(blocks=block_streams())
-    @settings(max_examples=100, deadline=None)
-    def test_cycles_and_stats_match_reference(self, blocks):
-        dram = DramConfig()
-        cycles_vec, stats_vec = analytic_dram_bound(blocks, dram)
-        if blocks.size == 0:
-            assert cycles_vec == 0
-            return
-        cycles_ref, stats_ref = estimate_dram_cycles_reference(blocks, dram)
-        assert cycles_vec == cycles_ref
-        assert stats_vec == stats_ref
-
-    @given(blocks=block_streams())
-    @settings(max_examples=50, deadline=None)
-    def test_no_refresh_config_matches_too(self, blocks):
-        dram = DramConfig(t_refi=0, t_rfc=0)
-        if blocks.size == 0:
-            assert analytic_dram_bound(blocks, dram)[0] == 0
-            return
-        assert analytic_dram_bound(blocks, dram) == (
-            estimate_dram_cycles_reference(blocks, dram)
-        )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SweepExecutor, adapter_grid
+from repro.engine import SweepExecutor, grid_points
 from repro.errors import ExperimentError, ServeError
 from repro.experiments.common import QUICK_MATRICES, QUICK_NNZ
 from repro.report.store import ResultStore
@@ -143,6 +144,21 @@ class TestCanonicalize:
             ({"cmd": "experiment", "name": ["fig3"]}, "unknown experiment"),
             ({"cmd": "experiment", "name": {}}, "unknown experiment"),
             ({"matrices": ["pwtk"], "variants": ["x"], "formats": ["bogus"]}, "unknown formats"),
+            # Names resolve through the kind's backend before `accepted`.
+            ({"matrices": ["nope"], "variants": ["MLP64"]}, "unknown suite matrix"),
+            ({"matrices": ["pwtk"], "variants": ["BOGUS"]}, "unknown adapter variant"),
+            ({"kind": "scatter", "matrices": ["pwtk"], "variants": ["MLPnc"]},
+             "requires a coalescer"),
+            ({"kind": "multichannel", "matrices": ["pwtk"], "variants": ["ch0"]},
+             "channel count"),
+            ({"kind": "strided", "matrices": ["linear"], "variants": ["x8"]},
+             "'s<bytes>' labels"),
+            ({"cmd": "experiment", "name": "fig3", "matrices": ["nope"]},
+             "unknown suite matrix"),
+            ({"matrices": ["pwtk"], "variants": ["MLP" + "9" * 5000]},
+             "invalid adapter variant"),
+            ({"kind": "strided", "matrices": ["linear"], "variants": ["s8"],
+              "formats": ["sell"]}, "does not apply"),
         ],
     )
     def test_malformed_requests_are_rejected(self, payload, fragment):
@@ -194,6 +210,8 @@ class TestCanonicalize:
             ({"cmd": "corpus", "offline": False}, "unknown request fields"),
             ({"cmd": "corpus", "fmt": "bogus"}, "format name"),
             ({"cmd": "corpus", "corpus": "x" * 300 + ".json"}, "too long"),
+            ({"cmd": "corpus", "variants": ["BOGUS"]}, "unknown adapter variant"),
+            ({"cmd": "corpus", "kind": "strided"}, "support kinds"),
         ],
     )
     def test_malformed_corpus_requests(self, payload, fragment):
@@ -230,7 +248,9 @@ class TestServedCorpus:
 class TestServedRowsByteIdentical:
     def test_served_equals_serial_and_pooled(self):
         """Satellite regression: serial == pooled == served, byte-identical."""
-        points = adapter_grid(("msc01440", "pwtk"), ("MLPnc", "MLP64"), max_nnz=TINY)
+        points = grid_points(
+            "adapter", ("msc01440", "pwtk"), ("MLPnc", "MLP64"), max_nnz=TINY
+        )
         serial = SweepExecutor(workers=1).run(points)
         with SweepExecutor(workers=2, shards="auto") as pooled_exec:
             pooled = pooled_exec.run(points)
@@ -370,6 +390,22 @@ class TestSingleFlight:
         ] == "computed"
 
 
+    def test_unknown_name_fails_before_accepted(self, caplog):
+        """A bad name is a request error, not a leader failure: no
+        ``accepted`` event, no single-flight warning, one error."""
+        manager = serial_manager()
+        events = []
+        with caplog.at_level(logging.WARNING, logger="repro.serve.jobs"):
+            with pytest.raises(ServeError, match="unknown suite matrix"):
+                events.extend(
+                    manager.stream({"matrices": ["nope"], "variants": ["MLP64"]})
+                )
+        assert events == []
+        assert not caplog.records
+        assert manager.stats["errors"] == 1
+        assert manager.stats["requests"] == 0
+
+
 class TestStoreBacked:
     """The committed results/store/ acts as the experiment response
     cache: a request matching the manifest is a disk read."""
@@ -417,6 +453,9 @@ class TestStdioFrontEnd:
             json.dumps(SWEEP_REQ),
             "{this is not json",
             json.dumps({"matrices": ["pwtk"]}),  # missing variants
+            # int() would reject this label's digit count with a bare
+            # ValueError; it must stay a request error, not end the loop
+            json.dumps({**SWEEP_REQ, "variants": ["MLP" + "9" * 5000]}),
             json.dumps({"cmd": "shutdown"}),
         )
         kinds = [event["event"] for event in events]
@@ -424,8 +463,9 @@ class TestStdioFrontEnd:
         done = next(e for e in events if e["event"] == "done")
         assert done["source"] == "computed" and done["row_count"] == 2
         error_events = [e for e in events if e["event"] == "error"]
-        assert len(error_events) == 2  # bad JSON, then bad request
+        assert len(error_events) == 3  # bad JSON, then two bad requests
         assert "bad JSON" in error_events[0]["error"]
+        assert "invalid adapter variant" in error_events[2]["error"]
         assert events[-1] == {"event": "bye", "served": 1}
 
 
