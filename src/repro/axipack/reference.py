@@ -1,12 +1,12 @@
-"""Reference (oracle) implementations of the fast model's hot paths.
+"""Reference (oracle) implementations of the fast paths' hot loops.
 
-Deliberately simple per-window / per-transaction loops kept as
-differential-test oracles: the vectorized implementations in
-:mod:`repro.axipack.fastmodel` must match them *bit-exactly*
-(wide-access counts, warp-tag issue order, cycle estimates) on
-arbitrary streams.
+Deliberately simple per-window / per-transaction / per-row loops kept
+as differential-test oracles: the vectorized implementations must
+match them *bit-exactly* (wide-access counts, warp-tag issue order,
+cycle estimates, SELL arrays, LLC hits and misses) on arbitrary
+inputs.
 
-Provenance differs between the two:
+Provenance differs between them:
 
 * :func:`coalesce_window_reference` is the verbatim seed
   implementation of ``coalesce_window_exact`` — the battle-tested
@@ -15,7 +15,12 @@ Provenance differs between the two:
   walk of the bank-state timeline contract that
   :func:`repro.mem.timeline.service_timeline` vectorises — dicts and
   Python loops, nothing shared with the segmented-reduction
-  implementation.
+  implementation;
+* :func:`sell_from_csr_reference` and :func:`baseline_llc_reference`
+  are the verbatim per-row SELL-C build and per-nonzero baseline LLC
+  trace loop that :meth:`repro.sparse.sell.SellMatrix.from_csr` and
+  ``repro.vpc.baseline.BaselineSystem._simulate_cache`` replaced with
+  whole-array builds.
 
 Do not call these from sweep code — they are orders of magnitude slower
 than the vectorized versions and exist only to pin their semantics.
@@ -26,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import DramConfig
+from ..sparse.csr import CsrMatrix
+from ..sparse.sell import SellMatrix
 
 
 def coalesce_window_reference(
@@ -140,3 +147,69 @@ def service_timeline_reference(
         bank_busy=bank_busy,
         queue_windows=windows,
     )
+
+
+def sell_from_csr_reference(csr: CsrMatrix, chunk: int = 32) -> SellMatrix:
+    """Oracle for :meth:`repro.sparse.sell.SellMatrix.from_csr`: one
+    slice and one row at a time."""
+    nrows, ncols = csr.shape
+    nslices = -(-nrows // chunk)
+    row_lengths = csr.row_lengths()
+
+    slice_widths = np.zeros(nslices, dtype=np.int64)
+    for s in range(nslices):
+        lo, hi = s * chunk, min((s + 1) * chunk, nrows)
+        slice_widths[s] = row_lengths[lo:hi].max() if hi > lo else 0
+
+    slice_ptr = np.zeros(nslices + 1, dtype=np.int64)
+    np.cumsum(slice_widths * chunk, out=slice_ptr[1:])
+
+    col_idx = np.zeros(slice_ptr[-1], dtype=SellMatrix.INDEX_DTYPE)
+    val = np.zeros(slice_ptr[-1], dtype=SellMatrix.VALUE_DTYPE)
+
+    for s in range(nslices):
+        width = slice_widths[s]
+        if width == 0:
+            continue
+        base = slice_ptr[s]
+        for r_local in range(chunk):
+            row = s * chunk + r_local
+            # Destination stride: column-of-slice major layout.
+            dst = base + r_local + np.arange(width) * chunk
+            if row >= nrows or row_lengths[row] == 0:
+                col_idx[dst] = 0
+                continue
+            lo, hi = csr.row_ptr[row], csr.row_ptr[row + 1]
+            length = hi - lo
+            col_idx[dst[:length]] = csr.col_idx[lo:hi]
+            val[dst[:length]] = csr.val[lo:hi]
+            # Pad by repeating the last valid index with value 0.
+            col_idx[dst[length:]] = csr.col_idx[hi - 1]
+    return SellMatrix(
+        nrows, ncols, chunk, slice_ptr, slice_widths, col_idx, val, csr.nnz
+    )
+
+
+def baseline_llc_reference(matrix: CsrMatrix, llc, line: int) -> tuple[int, int]:
+    """Oracle for ``repro.vpc.baseline.BaselineSystem._simulate_cache``:
+    one :meth:`~repro.vpc.llc.LruCache.access` call per trace access,
+    in trace order.  Returns the vector accesses' (hits, misses)."""
+    idx_per_line = line // 4
+    val_per_line = line // 8
+    # Distinct address regions (line ids offset far apart).
+    vec_region = 0
+    idx_region = 1 << 40
+    val_region = 1 << 41
+
+    vec_lines = (matrix.col_idx.astype(np.int64) * 8) // line
+    hits = misses = 0
+    for j in range(matrix.nnz):
+        if j % idx_per_line == 0:
+            llc.access(idx_region + (j // idx_per_line) * line)
+        if j % val_per_line == 0:
+            llc.access(val_region + (j // val_per_line) * line)
+        if llc.access(vec_region + int(vec_lines[j]) * line):
+            hits += 1
+        else:
+            misses += 1
+    return hits, misses

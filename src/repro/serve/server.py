@@ -17,8 +17,9 @@ Both front ends speak the same NDJSON event stream over one
   ends the loop.  This is the deterministic harness the tests drive.
 
 Errors in either front end become ``{"event": "error", ...}``
-responses (HTTP status 400 for malformed requests, 500 for
-computation failures); the server survives them.
+responses (HTTP status 400 for malformed requests, 413 for a body over
+:data:`MAX_BODY_BYTES`, 500 for computation failures); the server
+survives them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ from ..obs import names as obs_names
 from ..obs import trace as obs_trace
 from .jobs import JobManager
 from .protocol import json_default
+
+
+#: Largest request body the HTTP front end reads.  A longer
+#: ``Content-Length`` is answered 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+#: What ``json.loads`` raises on a malformed line: ``JSONDecodeError``
+#: (a ``ValueError``), or ``RecursionError`` on deeply nested brackets.
+_BAD_JSON = (ValueError, RecursionError)
 
 
 def _dumps(event: dict) -> bytes:
@@ -89,8 +99,26 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._respond_json(
+                400,
+                {"event": "error", "error": "Content-Length must be an integer >= 0"},
+            )
+            return
+        if length > MAX_BODY_BYTES:
+            self._respond_json(
+                413,
+                {
+                    "event": "error",
+                    "error": f"request body is over {MAX_BODY_BYTES} bytes",
+                },
+            )
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
+        except _BAD_JSON:
             self._respond_json(400, {"event": "error", "error": "body must be JSON"})
             return
         if isinstance(payload, dict) and self.path != "/job":
@@ -195,7 +223,7 @@ def serve_stdio(manager: JobManager, inp=None, out=None) -> int:
             continue
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except _BAD_JSON as exc:
             emit({"event": "error", "error": f"bad JSON: {exc}"})
             continue
         if isinstance(payload, dict) and payload.get("cmd") == "shutdown":

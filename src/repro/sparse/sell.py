@@ -85,39 +85,40 @@ class SellMatrix:
 
     @classmethod
     def from_csr(cls, csr: CsrMatrix, chunk: int = 32) -> "SellMatrix":
+        """Build from CSR in whole-array NumPy.
+
+        :func:`repro.axipack.reference.sell_from_csr_reference` is the
+        per-row loop this must equal array for array.
+        """
         nrows, ncols = csr.shape
         nslices = -(-nrows // chunk)
         row_lengths = csr.row_lengths()
-
-        slice_widths = np.zeros(nslices, dtype=np.int64)
-        for s in range(nslices):
-            lo, hi = s * chunk, min((s + 1) * chunk, nrows)
-            slice_widths[s] = row_lengths[lo:hi].max() if hi > lo else 0
+        # Rows past nrows in the last slice have length 0.
+        lengths = np.zeros(nslices * chunk, dtype=np.int64)
+        lengths[:nrows] = row_lengths
+        slice_widths = lengths.reshape(nslices, chunk).max(axis=1)
 
         slice_ptr = np.zeros(nslices + 1, dtype=np.int64)
         np.cumsum(slice_widths * chunk, out=slice_ptr[1:])
 
-        col_idx = np.zeros(slice_ptr[-1], dtype=cls.INDEX_DTYPE)
+        # Every slot starts as its row's pad: the row's last valid index,
+        # or 0 for an empty row.  A slice of width w stores its per-row
+        # pad vector w times (column-of-slice major).
+        pad = np.zeros(nslices * chunk, dtype=cls.INDEX_DTYPE)
+        nonempty = np.flatnonzero(row_lengths)
+        pad[nonempty] = csr.col_idx[csr.row_ptr[nonempty + 1] - 1]
+        col_idx = np.repeat(
+            pad.reshape(nslices, chunk), slice_widths, axis=0
+        ).ravel()
         val = np.zeros(slice_ptr[-1], dtype=cls.VALUE_DTYPE)
 
-        for s in range(nslices):
-            width = slice_widths[s]
-            if width == 0:
-                continue
-            base = slice_ptr[s]
-            for r_local in range(chunk):
-                row = s * chunk + r_local
-                # Destination stride: column-of-slice major layout.
-                dst = base + r_local + np.arange(width) * chunk
-                if row >= nrows or row_lengths[row] == 0:
-                    col_idx[dst] = 0
-                    continue
-                lo, hi = csr.row_ptr[row], csr.row_ptr[row + 1]
-                length = hi - lo
-                col_idx[dst[:length]] = csr.col_idx[lo:hi]
-                val[dst[:length]] = csr.val[lo:hi]
-                # Pad by repeating the last valid index with value 0.
-                col_idx[dst[length:]] = csr.col_idx[hi - 1]
+        # The k-th entry of row r lands in slot r % C of its slice's
+        # k-th column.
+        rows = np.repeat(np.arange(nrows, dtype=np.int64), row_lengths)
+        k = np.arange(csr.nnz, dtype=np.int64) - csr.row_ptr[rows]
+        dst = slice_ptr[rows // chunk] + rows % chunk + k * chunk
+        col_idx[dst] = csr.col_idx
+        val[dst] = csr.val
         return cls(
             nrows, ncols, chunk, slice_ptr, slice_widths, col_idx, val, csr.nnz
         )

@@ -7,9 +7,11 @@ retire.  Streams (``val``, ``col_idx``, ``row_ptr``) pass through the
 LLC where they evict vector lines — the cache-pollution effect the
 paper's Sec. I calls out.
 
-The LLC interaction is simulated access-by-access on the interleaved
-stream/gather trace; timing converts hit/miss counts into cycles with
-a limited-MLP miss overlap model.
+The LLC interaction is simulated on the interleaved stream/gather
+trace: NumPy builds the whole line trace, and the LRU cache replays it
+in one pass (:meth:`~repro.vpc.llc.LruCache.access_lines`).  Timing
+converts hit/miss counts into cycles with a limited-MLP miss overlap
+model.
 
 One fidelity note (see DESIGN.md): when suite matrices are scaled down
 for Python runtime, the LLC is scaled by the same factor so that the
@@ -128,7 +130,9 @@ class BaselineSystem:
 
         Streaming lines (val/idx) are injected at their natural cadence
         (one idx line per 16 entries, one val line per 8) so they evict
-        vector lines exactly as a real unified LLC would suffer.
+        vector lines exactly as a real unified LLC would suffer.  The
+        trace is built whole and replayed in one pass; returns the
+        vector accesses' (hits, misses).
         """
         idx_per_line = line // 4
         val_per_line = line // 8
@@ -137,15 +141,23 @@ class BaselineSystem:
         idx_region = 1 << 40
         val_region = 1 << 41
 
-        vec_lines = (matrix.col_idx.astype(np.int64) * 8) // line
-        hits = misses = 0
-        for j in range(matrix.nnz):
-            if j % idx_per_line == 0:
-                llc.access(idx_region + (j // idx_per_line) * line)
-            if j % val_per_line == 0:
-                llc.access(val_region + (j // val_per_line) * line)
-            if llc.access(vec_region + int(vec_lines[j]) * line):
-                hits += 1
-            else:
-                misses += 1
-        return hits, misses
+        # Entry j touches its idx line (every idx_per_line entries), its
+        # val line (every val_per_line), then its vector line.
+        j = np.arange(matrix.nnz, dtype=np.int64)
+        lines = np.stack(
+            [
+                (idx_region + (j // idx_per_line) * line) // line,
+                (val_region + (j // val_per_line) * line) // line,
+                (vec_region + matrix.col_idx.astype(np.int64) * 8) // line,
+            ],
+            axis=1,
+        )
+        issued = np.stack(
+            [j % idx_per_line == 0, j % val_per_line == 0, np.ones_like(j, bool)],
+            axis=1,
+        )
+        hit = llc.access_lines(lines[issued])
+        # Each entry's vector access is the last one it issues.
+        vec_hit = hit[np.cumsum(issued.sum(axis=1)) - 1]
+        hits = int(np.count_nonzero(vec_hit))
+        return hits, matrix.nnz - hits

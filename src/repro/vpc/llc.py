@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..config import BaselineConfig
 from ..errors import ConfigError
 from ..sim.stats import StatSet
@@ -32,32 +34,41 @@ class LruCache:
         return cls(config.llc_bytes, config.llc_ways, config.line_bytes)
 
     def access(self, addr: int) -> bool:
-        """Touch one address; returns True on hit.  LRU update on hit,
-        LRU eviction on miss."""
-        line = addr // self.line_bytes
-        ways = self._sets[line & (self.num_sets - 1)]
-        try:
-            ways.remove(line)
-            ways.append(line)
-            self.stats.add("hits")
-            return True
-        except ValueError:
-            ways.append(line)
-            if len(ways) > self.ways:
-                ways.pop(0)
-                self.stats.add("evictions")
-            self.stats.add("misses")
-            return False
+        """Touch one address; returns True on hit."""
+        return bool(self.access_lines([addr // self.line_bytes])[0])
 
-    def access_block_stream(self, lines: list[int] | "object") -> tuple[int, int]:
-        """Touch a sequence of line ids; returns (hits, misses)."""
-        hits = misses = 0
-        for line_id in lines:
-            if self.access(int(line_id) * self.line_bytes):
-                hits += 1
+    def access_lines(self, lines: np.ndarray | list[int]) -> np.ndarray:
+        """Replay a trace of line ids in order; returns one hit flag
+        per access.  LRU update on hit, LRU eviction on miss."""
+        lines = np.asarray(lines, dtype=np.int64)
+        sets = self._sets
+        set_mask = self.num_sets - 1
+        ways = self.ways
+        flags = bytearray(len(lines))
+        evictions = 0
+        for i, line in enumerate(lines.tolist()):
+            resident = sets[line & set_mask]
+            if line in resident:
+                resident.remove(line)
+                resident.append(line)
+                flags[i] = 1
             else:
-                misses += 1
-        return hits, misses
+                resident.append(line)
+                if len(resident) > ways:
+                    del resident[0]
+                    evictions += 1
+        hit = np.frombuffer(flags, dtype=bool)
+        hits = int(np.count_nonzero(hit))
+        # A StatSet key appears on its first add, so add only counts
+        # that happened, as one access at a time would.
+        for key, amount in (
+            ("hits", hits),
+            ("misses", len(hit) - hits),
+            ("evictions", evictions),
+        ):
+            if amount:
+                self.stats.add(key, amount)
+        return hit
 
     @property
     def hit_rate(self) -> float:

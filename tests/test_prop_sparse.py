@@ -1,9 +1,10 @@
 """Property-based tests: sparse format invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.axipack.reference import sell_from_csr_reference
 from repro.sparse.coo import CooMatrix
 
 
@@ -54,6 +55,23 @@ def test_sell_roundtrip_and_spmv(coo, chunk):
     assert sell.padded_nnz >= csr.nnz
     back = sell.to_csr()
     assert np.allclose(back.to_dense(), csr.to_dense(), atol=1e-12)
+
+
+@given(coo_matrices(), st.sampled_from([1, 2, 3, 8, 32, 64]))
+@example(CooMatrix(5, 4), 2)  # nnz = 0
+@example(CooMatrix(3, 3, [0, 2], [1, 2], [1.0, 2.0]), 8)  # nrows < chunk
+# an empty row inside a slice, then an all-empty trailing slice
+@example(CooMatrix(5, 4, [0, 0, 3], [1, 3, 2], [1.0, 2.0, 3.0]), 2)
+@settings(max_examples=150, deadline=None)
+def test_sell_build_matches_reference_loop(coo, chunk):
+    csr = coo.to_csr()
+    sell = csr.to_sell(chunk)
+    ref = sell_from_csr_reference(csr, chunk)
+    for name in ("slice_ptr", "slice_widths", "col_idx", "val"):
+        got, want = getattr(sell, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert sell.true_nnz == ref.true_nnz
 
 
 @given(coo_matrices())

@@ -14,6 +14,7 @@ import io
 import json
 import logging
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -32,7 +33,7 @@ from repro.experiments.common import QUICK_MATRICES, QUICK_NNZ
 from repro.report.store import ResultStore
 from repro.serve import JobManager, canonicalize
 from repro.serve.client import ServeClient
-from repro.serve.server import ReproServer, serve_stdio
+from repro.serve.server import MAX_BODY_BYTES, ReproServer, serve_stdio
 from repro.sparse.suite import DEFAULT_MAX_NNZ
 
 TINY = 12_000
@@ -450,8 +451,11 @@ class TestStdioFrontEnd:
     def test_request_bad_json_and_shutdown(self):
         events = self.run_lines(
             serial_manager(),
+            # json.loads raises RecursionError, not JSONDecodeError, here
+            "[" * 100_000 + "]" * 100_000,
             json.dumps(SWEEP_REQ),
             "{this is not json",
+            '{"max_nnz": ' + "9" * 5000 + "}",  # a plain ValueError
             json.dumps({"matrices": ["pwtk"]}),  # missing variants
             # int() would reject this label's digit count with a bare
             # ValueError; it must stay a request error, not end the loop
@@ -459,13 +463,13 @@ class TestStdioFrontEnd:
             json.dumps({"cmd": "shutdown"}),
         )
         kinds = [event["event"] for event in events]
-        assert kinds[0] == "accepted" and "rows" in kinds
+        assert kinds[:2] == ["error", "accepted"] and "rows" in kinds
         done = next(e for e in events if e["event"] == "done")
         assert done["source"] == "computed" and done["row_count"] == 2
         error_events = [e for e in events if e["event"] == "error"]
-        assert len(error_events) == 3  # bad JSON, then two bad requests
-        assert "bad JSON" in error_events[0]["error"]
-        assert "invalid adapter variant" in error_events[2]["error"]
+        assert len(error_events) == 5  # three bad JSON, two bad requests
+        assert all("bad JSON" in e["error"] for e in error_events[:3])
+        assert "invalid adapter variant" in error_events[4]["error"]
         assert events[-1] == {"event": "bye", "served": 1}
 
 
@@ -521,6 +525,38 @@ class TestHttpFrontEnd:
             self._post(server, "/nope", {})
         assert missing.value.code == 404
         assert self._get(server, "/stats")["jobs"]["errors"] >= 1
+        nested = urllib.request.Request(
+            f"http://127.0.0.1:{server.server_address[1]}/sweep",
+            data=b"[" * 100_000 + b"]" * 100_000,
+        )
+        with pytest.raises(urllib.error.HTTPError) as deep:
+            urllib.request.urlopen(nested)
+        assert deep.value.code == 400
+        assert self._get(server, "/healthz") == {"ok": True}
+
+    def _raw_post(self, server, content_length: str) -> bytes:
+        """Send only the headers of a POST; return the whole reply."""
+        port = server.server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /sweep HTTP/1.0\r\nContent-Length: {content_length}"
+                "\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        return reply
+
+    @pytest.mark.parametrize("length", ["-1", "12x"])
+    def test_bad_body_length_is_rejected_before_reading(self, server, length):
+        reply = self._raw_post(server, length)
+        assert reply.startswith(b"HTTP/1.0 400")
+        assert b"Content-Length must be an integer >= 0" in reply
+
+    def test_oversized_body_is_rejected_before_reading(self, server):
+        reply = self._raw_post(server, str(100_000_000_000))
+        assert reply.startswith(b"HTTP/1.0 413")
+        assert f"over {MAX_BODY_BYTES} bytes".encode() in reply
 
 
 class TestServeClient:

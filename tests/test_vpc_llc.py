@@ -1,9 +1,17 @@
-"""LRU cache model."""
+"""LRU cache model and the baseline's LLC trace replay."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.axipack.reference import baseline_llc_reference
 from repro.config import BaselineConfig
 from repro.errors import ConfigError
+from repro.sparse.csr import CsrMatrix
+from repro.sparse.suite import get_matrix, get_spec, list_matrices
+from repro.vpc import BaselineSystem
+from repro.vpc.baseline import scaled_llc_bytes
 from repro.vpc.llc import LruCache
 
 
@@ -73,3 +81,60 @@ def test_from_config():
 def test_geometry_validation():
     with pytest.raises(ConfigError):
         LruCache(1000, ways=3)
+
+
+def _textbook_lru(num_sets, ways, lines):
+    """Hit flags of a per-set most-recent-first list, written apart
+    from :class:`LruCache`."""
+    sets = [[] for _ in range(num_sets)]
+    flags = []
+    for line in lines:
+        resident = sets[line % num_sets]
+        flags.append(line in resident)
+        if line in resident:
+            resident.remove(line)
+        resident.insert(0, line)
+        del resident[ways:]
+    return flags
+
+
+@given(
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from([1, 2, 4]),
+    st.lists(st.integers(0, 40), max_size=200),
+    st.integers(0, 200),
+)
+@settings(max_examples=150, deadline=None)
+def test_access_lines_matches_per_access_replay(num_sets, ways, trace, split):
+    one_pass = LruCache(num_sets * ways * 64, ways=ways)
+    # Two calls, so the set state must carry across them.
+    hit = np.concatenate(
+        [one_pass.access_lines(trace[:split]), one_pass.access_lines(trace[split:])]
+    )
+    per_access = LruCache(num_sets * ways * 64, ways=ways)
+    flags = [per_access.access(line * 64) for line in trace]
+    assert hit.dtype == bool
+    assert hit.tolist() == flags == _textbook_lru(num_sets, ways, trace)
+    assert one_pass.stats.as_dict() == per_access.stats.as_dict()
+
+
+@pytest.mark.parametrize("name", list_matrices() + ["no-nonzeros"])
+def test_baseline_trace_matches_reference_loop(name):
+    """The one-pass replay gives the per-nonzero loop's vector hits and
+    misses, LLC stats and final set contents."""
+    if name == "no-nonzeros":
+        csr, scale = CsrMatrix(40, 40, np.zeros(41), np.empty(0), np.empty(0)), 1.0
+    else:
+        # The scaled LLC the system backend runs the baseline with.
+        csr = get_matrix(name, max_nnz=12_000)
+        scale = csr.nrows / get_spec(name).n
+    base = BaselineConfig()
+    line = base.line_bytes
+    llc_bytes = scaled_llc_bytes(base, scale)
+    replayed = LruCache(llc_bytes, base.llc_ways, line)
+    looped = LruCache(llc_bytes, base.llc_ways, line)
+    got = BaselineSystem(base)._simulate_cache(csr, replayed, line)
+    assert got == baseline_llc_reference(csr, looped, line)
+    assert all(type(count) is int for count in got)
+    assert replayed.stats.as_dict() == looped.stats.as_dict()
+    assert replayed._sets == looped._sets
