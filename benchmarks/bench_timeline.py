@@ -5,7 +5,7 @@ in every fast-model hot path, so its cost rides on every sweep cell.
 Two gates guard its vectorization: the replay must beat the walking
 oracle (:func:`repro.axipack.reference.service_timeline_reference`,
 one Python loop iteration per transaction) by at least
-``MIN_SPEEDUP`` — about 3.4x on a 2-core x86 VM, so falling under 2x
+``MIN_SPEEDUP`` — about 8–12x on a 2-core x86 VM, so falling under 5x
 signals an accidental de-vectorization — while staying bit-exact
 against it, and its per-transaction cost must not grow with the
 stream (linearithmic scaling).
@@ -27,7 +27,7 @@ STREAM_SIZE = 500_000
 #: slice replayed through the pure-Python oracle (it is O(n) but slow).
 ORACLE_SLICE = 40_000
 #: required speedup of the vectorized replay over the walking oracle.
-MIN_SPEEDUP = 2.0
+MIN_SPEEDUP = 5.0
 
 
 def _mixed_stream(size: int) -> np.ndarray:
@@ -41,7 +41,7 @@ def _mixed_stream(size: int) -> np.ndarray:
 
 
 def test_bench_timeline_vs_walking_oracle(benchmark):
-    """>= 2x faster than the walking oracle; bit-exact against it."""
+    """>= 5x faster than the walking oracle; bit-exact against it."""
     dram = DramConfig()
     blocks = _mixed_stream(STREAM_SIZE)
 

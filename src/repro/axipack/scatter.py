@@ -19,7 +19,6 @@ warps to the same block always commit in window (stream) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +50,6 @@ from .metrics import AdapterMetrics
 
 #: AXI ID used for coalesced scatter writes.
 WRITE_AXI_ID = 2
-
-
-@dataclass(frozen=True)
-class _NarrowWrite:
-    request: NarrowRequest
-    value: float
 
 
 class WriteCoalescer(Component):

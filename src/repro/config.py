@@ -218,16 +218,6 @@ class BaselineConfig:
         return self.llc_bytes // (self.llc_ways * self.line_bytes)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """Top-level bundle used by the end-to-end SpMV experiments."""
-
-    adapter: AdapterConfig = field(default_factory=AdapterConfig)
-    dram: DramConfig = field(default_factory=DramConfig)
-    vpc: VpcConfig = field(default_factory=VpcConfig)
-    baseline: BaselineConfig = field(default_factory=BaselineConfig)
-
-
 def mlp_config(window: int, lanes: int = 8) -> AdapterConfig:
     """Adapter with an x-window *parallel* coalescer (paper ``MLPx``)."""
     return AdapterConfig(

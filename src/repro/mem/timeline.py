@@ -30,9 +30,33 @@ The open-adaptive page policy is modelled as *most-recent-arrival*: the
 row a bank leaves open after a window is the row of its newest request
 in that window.  Because the carried row therefore never depends on the
 scheduler's choices, every queue window can be priced independently and
-the whole replay vectorises into a handful of sorts and segmented
-reductions — the same discipline :func:`repro.axipack.fastmodel.
-coalesce_window_exact` uses.
+the whole replay vectorises into **one sort** and segmented reductions
+over it — the same discipline :func:`repro.axipack.fastmodel.
+coalesce_window_exact` uses.  Every request gets a bank-major composite
+key ``(bank, queue window, row, slot)``, where the slot is its place in
+its window, so every key is distinct and a plain ``np.sort`` of the
+keys (no argsort, no gather) lines the stream up such that:
+
+* each ``(bank, window)`` group is one run of the sorted keys, and each
+  of its distinct rows one run of equal ``(bank, window, row)`` — group
+  sizes and distinct-row counts are run lengths;
+* a group's newest request is its largest slot (``np.maximum.reduceat``
+  over the runs), and because the order is bank-major the group just
+  before it is the same bank's previous window, so the row carried
+  into a group is the newest row of the previous group when the two
+  share a bank;
+* the carried row is a first-ready hit exactly when the group's
+  ``(bank, window)`` with the carried row is among the sorted runs —
+  one ``np.searchsorted``;
+* each window's busiest bank and each bank's busy total scatter over
+  the groups (``np.maximum.at`` / ``np.add.at``), never through a dense
+  bank x window table, whose size would grow as the queue shrinks.
+
+Rows enter the key as offsets from the stream's lowest row.  When
+``banks x windows x row span x 2 * queue_depth`` would not fit in
+int64 (far-apart ids), the rows are replaced by their dense ranks
+first, which keeps row equality and shrinks the span to the number of
+distinct rows; the rest of the replay is the same.
 
 The service time of one queue window is the slower of the data bus
 (``t_burst`` per transaction) and the busiest bank
@@ -65,6 +89,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import DramConfig
+
+#: Largest composite sort key (int64 max).
+_KEY_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -150,9 +177,12 @@ def service_timeline(
     ``queue_depth`` overrides ``dram.queue_depth``; the replay's
     reorder horizon is ``2 * queue_depth`` (see the module docstring).
 
-    Fully vectorized — sorts and segmented reductions only; bit-exact
-    against :func:`repro.axipack.reference.service_timeline_reference`
-    (enforced by the property-based differential suite).
+    Fully vectorized — one sort and segmented reductions over it;
+    bit-exact against
+    :func:`repro.axipack.reference.service_timeline_reference`
+    (enforced by the property-based differential suite).  Raises
+    ``ValueError`` for a queue depth below 1, or for a stream whose
+    sort key would overflow int64 even over dense row ranks.
     """
     depth = dram.queue_depth if queue_depth is None else int(queue_depth)
     if depth < 1:
@@ -164,60 +194,64 @@ def service_timeline(
         return _empty_result(dram)
 
     num_banks = dram.num_banks
-    banks = blocks % num_banks
+    num_windows = -(-n // horizon)
+    banks = blocks & (num_banks - 1)  # num_banks is a power of two
     rows = blocks // (num_banks * dram.blocks_per_row)
-    window = np.arange(n, dtype=np.int64) // horizon
-    num_windows = int(window[-1]) + 1
+    row_base = int(rows.min())
+    row_span = int(rows.max()) - row_base + 1
+    if num_banks * num_windows * row_span * horizon > _KEY_LIMIT:
+        # Far-apart rows: key on their dense ranks instead.
+        distinct, rows = np.unique(rows, return_inverse=True)
+        row_base, row_span = 0, int(distinct.size)
+        if num_banks * num_windows * row_span * horizon > _KEY_LIMIT:
+            raise ValueError("stream too long for the int64 timeline key")
+    rows -= row_base
 
-    # Row of each request's previous same-bank request (stream order),
-    # with a below-every-row sentinel where the bank is untouched so
-    # far (rows can be negative, so -1 is not safe).  The stable
-    # by-bank sort keeps stream order inside each bank's run.
-    no_row = int(rows.min()) - 1
-    by_bank = np.argsort(banks, kind="stable")
-    prev_row = np.full(n, no_row, dtype=np.int64)
-    same_bank = banks[by_bank][1:] == banks[by_bank][:-1]
-    prev_row[by_bank[1:][same_bank]] = rows[by_bank][:-1][same_bank]
+    # One sort of the bank-major key (bank, queue window, row, slot).
+    # The slot — the request's place in its window — makes every key
+    # distinct and keeps the stream position inside the sorted key.
+    window = np.repeat(np.arange(num_windows, dtype=np.int64), horizon)[:n]
+    slot = np.tile(np.arange(horizon, dtype=np.int64), num_windows)[:n]
+    key = ((banks * num_windows + window) * row_span + rows) * horizon + slot
+    key.sort()
 
-    # (queue window, bank) groups, window-major; stream order inside a
-    # group is preserved by the stable sort.
-    key = window * num_banks + banks
-    by_group = np.argsort(key, kind="stable")
-    key_sorted = key[by_group]
-    rows_grouped = rows[by_group]
-    starts = np.flatnonzero(np.r_[True, key_sorted[1:] != key_sorted[:-1]])
-    group_key = key_sorted[starts]
-    group_bank = group_key % num_banks
-    group_window = group_key // num_banks
-    group_size = np.diff(np.r_[starts, n])
+    # Runs of equal (bank, window, row) are a group's distinct rows;
+    # runs of equal (bank, window) among them are the groups.  A run's
+    # last key holds its newest slot.
+    cell = key // horizon
+    run_last = np.flatnonzero(np.r_[cell[1:] != cell[:-1], True])
+    run_cell = cell[run_last]
+    run_slot = key[run_last] - run_cell * horizon
+    run_group = run_cell // row_span
+    group_first = np.flatnonzero(np.r_[True, run_group[1:] != run_group[:-1]])
+    group_id = run_group[group_first]
+    group_bank = group_id // num_windows
+    group_window = group_id - group_bank * num_windows
+    group_end = np.r_[group_first[1:], run_cell.size]
+    distinct_rows = group_end - group_first
+    group_size = np.diff(np.r_[-1, run_last[group_end - 1]])
 
-    # Carried open row entering each group = the previous same-bank
-    # row of the group's first (oldest) request — necessarily from an
-    # earlier queue window, since a group holds all of its bank's
-    # requests of one window.
-    carry_in = prev_row[by_group[starts]]
+    # Open row carried into each group: the row of the newest request
+    # of the previous group, if that group is the same bank's (an
+    # earlier window — the order is bank-major).  It is a first-ready
+    # hit when the group holds a request with that row, i.e. when the
+    # carried (bank, window, row) is among the sorted runs.
+    newest = np.maximum.reduceat(run_slot, group_first) + group_window * horizon
+    carried = group_id[1:] * row_span + rows[newest[:-1]]
+    found = run_cell.take(np.searchsorted(run_cell, carried), mode="clip")
+    same_bank = group_bank[1:] == group_bank[:-1]
+    carry_hit = np.r_[False, same_bank & (found == carried)]
+    # A bank's first group has no carried row: its first activate is cold.
+    cold = int(group_id.size - np.count_nonzero(same_bank))
 
-    # First-ready hit: the carried row appears anywhere in the group
-    # (FR-FCFS serves those requests before any precharge).
-    carry_hit = np.bitwise_or.reduceat(
-        rows_grouped == np.repeat(carry_in, group_size), starts
-    )
-
-    # Distinct rows per group via a second, by-row sort; group order
-    # (ascending key) matches the by-group sort above.
-    by_row = np.lexsort((rows, key))
-    new_group = np.r_[True, key[by_row][1:] != key[by_row][:-1]]
-    new_row = new_group | np.r_[True, rows[by_row][1:] != rows[by_row][:-1]]
-    distinct_rows = np.add.reduceat(new_row.astype(np.int64), np.flatnonzero(new_group))
-
-    activates = distinct_rows - carry_hit.astype(np.int64)
+    activates = distinct_rows - carry_hit
     bank_time = np.maximum(group_size * dram.t_burst, activates * dram.t_rc)
 
     # One queue window's service time: data bus vs its busiest bank.
-    window_starts = np.flatnonzero(np.r_[True, group_window[1:] != group_window[:-1]])
-    bank_max = np.maximum.reduceat(bank_time, window_starts)
+    window_time = np.zeros(num_windows, dtype=np.int64)
+    np.maximum.at(window_time, group_window, bank_time)
     bus = np.bincount(window, minlength=num_windows) * dram.t_burst
-    cycles = int(np.maximum(bus, bank_max).sum())
+    cycles = int(np.maximum(bus, window_time).sum())
 
     refreshes = 0
     if dram.t_refi > 0:
@@ -227,7 +261,6 @@ def service_timeline(
     bank_busy = np.zeros(num_banks, dtype=np.int64)
     np.add.at(bank_busy, group_bank, bank_time)
     total_activates = int(activates.sum())
-    cold = int(np.count_nonzero(carry_in == no_row))
     return TimelineResult(
         cycles=cycles,
         activates=total_activates,
@@ -238,4 +271,3 @@ def service_timeline(
         bank_busy=bank_busy,
         queue_windows=num_windows,
     )
-

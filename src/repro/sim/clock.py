@@ -75,11 +75,6 @@ class Simulator:
         self._share_ops(component)
         return component
 
-    @property
-    def fifo_ops(self) -> int:
-        """Total FIFO pushes plus pops across this simulator so far."""
-        return self._ops[0]
-
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` cycles.
 

@@ -120,31 +120,6 @@ class Fifo(Generic[T]):
             wake[0].notify(wake[1])
         return self._committed.popleft()
 
-    def pop_run(self, count: int) -> list[T]:
-        """Remove and return the ``count`` oldest committed entries as
-        one bulk transfer.
-
-        Counter bookkeeping replays ``count`` single pops exactly:
-        ``total_popped`` and the shared op cell advance by ``count`` and
-        waiters receive one (idempotent) wake covering the whole run —
-        the batched engine's due-time updates are min-folds, so one
-        notification is indistinguishable from ``count`` repeats.
-        ``max_occupancy`` is push-sampled and therefore untouched, as
-        under single pops.
-        """
-        if count <= 0:
-            return []
-        if count > len(self._committed):
-            raise ProtocolError(f"{self.name}: pop_run past committed entries")
-        committed = self._committed
-        items = [committed.popleft() for _ in range(count)]
-        self.total_popped += count
-        self._ops[0] += count
-        wake = self._wake
-        if wake is not None and wake[1]:
-            wake[0].notify(wake[1])
-        return items
-
     # -- simulator side ------------------------------------------------
 
     def commit(self) -> None:

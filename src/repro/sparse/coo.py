@@ -46,15 +46,6 @@ class CooMatrix:
         """Stored entry count (before duplicate summing)."""
         return len(self.vals)
 
-    def add_entries(
-        self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> None:
-        """Append a batch of entries."""
-        self.rows = np.concatenate([self.rows, np.asarray(rows, dtype=np.int64)])
-        self.cols = np.concatenate([self.cols, np.asarray(cols, dtype=np.int64)])
-        self.vals = np.concatenate([self.vals, np.asarray(vals, dtype=np.float64)])
-        self._validate_bounds()
-
     def to_csr(self) -> "CsrMatrix":
         """Convert to CSR, summing duplicate coordinates."""
         from .csr import CsrMatrix

@@ -377,15 +377,6 @@ def save_fastload(
     return path
 
 
-def fastload_meta(path: Path | str) -> dict:
-    """The metadata record of one fast-load artifact (no validation)."""
-    try:
-        with np.load(path) as data:
-            return json.loads(bytes(data["meta"]).decode())
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise CorpusError(f"unreadable fast-load artifact {path}: {exc}") from exc
-
-
 def load_fastload(path: Path | str) -> CsrMatrix:
     """Load and checksum-validate one fast-load artifact.
 

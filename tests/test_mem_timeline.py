@@ -1,5 +1,6 @@
-"""Bank-state timeline: unit contract + differential vs the cycle
-channel.
+"""Bank-state timeline: unit contract, bit-exactness against the
+walking oracle on real suite streams, and the differential vs the
+cycle channel.
 
 The differential tier is the acceptance gate for the timeline
 subsystem: replaying a transaction stream through
@@ -25,6 +26,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.axipack.reference import service_timeline_reference
 from repro.config import DramConfig
 from repro.mem.backing_store import BackingStore
 from repro.mem.dram import DramChannel
@@ -32,6 +34,7 @@ from repro.mem.multichannel import MultiChannelMemory
 from repro.mem.request import MemRequest
 from repro.mem.timeline import TimelineResult, service_timeline
 from repro.sim.clock import Simulator
+from repro.sparse.suite import list_matrices
 
 #: Declared differential tolerance: timeline service cycles vs the
 #: cycle-accurate channel, as a ratio band over every stream in the
@@ -124,6 +127,14 @@ class TestTimelineContract:
         assert result.cycles == 1000 * dram.t_burst
         assert result.row_hit_rate > 0.9
 
+    def test_key_overflow_is_refused(self):
+        """A stream whose sort key overflows int64 even over ranked
+        rows is refused, never priced wrongly."""
+        dram = DramConfig(num_banks=1 << 40)
+        blocks = np.arange(4096, dtype=np.int64) << 44  # bank 0, rows 0..4095
+        with pytest.raises(ValueError, match="too long"):
+            service_timeline(blocks, dram, 1)
+
     def test_smaller_queue_is_never_faster(self):
         """Shrinking the reorder horizon can only lose merges: service
         time is monotone non-increasing in queue depth."""
@@ -135,6 +146,24 @@ class TestTimelineContract:
             for depth in (1, 4, 16, 32, 64)
         ]
         assert all(a >= b for a, b in zip(cycles, cycles[1:]))
+
+
+class TestOracleOnSuiteStreams:
+    """The vectorized replay equals the walking oracle on the streams
+    the fast model prices: every suite matrix's MLP256 warp tags and
+    raw MLPnc blocks at 12k nnz."""
+
+    @pytest.mark.parametrize("queue_depth", [None, 4])
+    @pytest.mark.parametrize("matrix", list_matrices())
+    def test_bit_exact_vs_walking_oracle(self, matrix, queue_depth):
+        dram = DramConfig()
+        for name, blocks in suite_streams((matrix,)).items():
+            blocks = np.asarray(blocks, dtype=np.int64)
+            vec = service_timeline(blocks, dram, queue_depth)
+            ref = service_timeline_reference(blocks, dram, queue_depth)
+            assert vec.cycles == ref.cycles, name
+            assert vec.stats == ref.stats, name
+            assert np.array_equal(vec.bank_busy, ref.bank_busy), name
 
 
 class TestChannelStride:
@@ -194,8 +223,6 @@ class TestDifferentialFullSuite:
     """Every suite matrix's streams through the differential (slow)."""
 
     def test_all_suite_matrices_within_tolerance(self):
-        from repro.sparse.suite import list_matrices
-
         dram = DramConfig()
         lo, hi = TIMELINE_TOLERANCE
         for name, blocks in suite_streams(

@@ -15,7 +15,8 @@ Two vectorized kernels are pinned here:
 * :func:`~repro.mem.timeline.service_timeline` (the bank-state DRAM
   timeline) against its walking oracle, including adversarial
   single-bank and row-thrash streams where the bank dimension
-  degenerates.
+  degenerates, and ids over the whole int64 range, where the replay
+  keys on dense row ranks.
 
 Oracle-independent floors back the timeline up: on row-thrash streams
 — globally distinct rows, so FR-FCFS reordering has nothing to merge —
@@ -95,6 +96,25 @@ def row_thrash_streams(draw):
     return banks + rows * dram.num_banks * dram.blocks_per_row
 
 
+@st.composite
+def wide_block_streams(draw):
+    """Block ids spread over +-2^62 plus both int64 extremes.  With at
+    least 8 requests no int64 sort key holds their row span, so the
+    timeline must dense-rank the rows.  Ids come from a small pool, and
+    half of them move to another bank inside their row, so rows repeat
+    within and across queue windows (hits and carried hits)."""
+    count = draw(st.integers(min_value=8, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    i64 = np.iinfo(np.int64)
+    pool = rng.integers(-(1 << 62), 1 << 62, draw(st.integers(1, 20)))
+    blocks = np.r_[i64.min, i64.max, pool][rng.integers(0, pool.size + 2, count)]
+    # New low 8 bits (16 banks x 16 blocks per row): same row, new bank.
+    rebank = rng.random(count) < 0.5
+    blocks[rebank] = (blocks[rebank] & ~0xFF) | rng.integers(0, 0x100, rebank.sum())
+    blocks[rng.choice(count, 2, replace=False)] = (i64.min, i64.max)
+    return blocks
+
+
 windows = st.integers(min_value=1, max_value=300)
 queue_depths = st.integers(min_value=1, max_value=80)
 
@@ -171,6 +191,13 @@ class TestTimelineDifferential:
         others = np.delete(result.bank_busy, bank)
         assert not others.any()
         assert result.cold_activates == 1
+
+    @given(blocks=wide_block_streams(), queue_depth=queue_depths)
+    @settings(max_examples=200, deadline=None)
+    def test_wide_keys_bit_exact_vs_walking_oracle(self, blocks, queue_depth):
+        """Ids over the whole int64 range, where the replay keys on
+        dense row ranks, still match the walking oracle exactly."""
+        assert_timeline_matches_oracle(blocks, DramConfig(), queue_depth)
 
     @given(blocks=row_thrash_streams(), queue_depth=queue_depths)
     @settings(max_examples=150, deadline=None)
