@@ -6,7 +6,14 @@ reproduces the *coalescing decisions* of the cycle model exactly —
 windows of W consecutive narrow requests, one CSHR, request warps per
 distinct wide block in first-occurrence order, and the open-warp carry
 across window swaps — and then derives the cycle count analytically as
-the maximum over the pipeline's bottlenecks:
+the maximum over the pipeline's bottlenecks.
+
+The coalescing itself runs in linear passes.  Each request's previous
+occurrence of its block (:func:`previous_occurrence`, one sort, cached
+per stream) decides whether it opens a warp in its window — one
+comparison per request against the window's first position — and the
+carry across window swaps collapses into a prefix scan over the
+windows (:func:`resolve_window_carry`).  The bottlenecks are:
 
 * narrow request generation / element packing (N per cycle, or 1 for
   the sequential variant's watcher scan),
@@ -41,16 +48,17 @@ class StreamAnalysis:
     """Window-independent per-stream artifacts, shared across variants.
 
     One index stream feeds many adapter configurations in a sweep; the
-    wide-block id stream and its stable by-value sort depend only on
-    the stream and the element/access geometry, so the engine computes
-    them once per matrix (see :mod:`repro.engine.cache`) and every
-    variant and window size reuses them.
+    wide-block id stream and each request's previous occurrence of its
+    block depend only on the stream and the element/access geometry,
+    so the engine computes them once per matrix (see
+    :mod:`repro.engine.cache`) and every variant and window size reuses
+    them.
     """
 
     #: wide-block id per narrow request.
     blocks: np.ndarray
-    #: ``block_sort_order(blocks)``.
-    order: np.ndarray
+    #: ``previous_occurrence(blocks)``.
+    prev: np.ndarray
     #: element geometry the blocks were derived with.
     elements_per_block: int
 
@@ -58,7 +66,7 @@ class StreamAnalysis:
 def analyze_stream(indices: np.ndarray, elements_per_block: int) -> StreamAnalysis:
     """Precompute the shared coalescing analysis for one index stream."""
     blocks = np.ascontiguousarray(indices, dtype=np.int64) // elements_per_block
-    return StreamAnalysis(blocks, block_sort_order(blocks), elements_per_block)
+    return StreamAnalysis(blocks, previous_occurrence(blocks), elements_per_block)
 
 
 def _analysis_matches(
@@ -86,60 +94,77 @@ def _analysis_matches(
     )
 
 
-def block_sort_order(blocks: np.ndarray) -> np.ndarray:
-    """Stable by-value argsort of a block stream.
+def previous_occurrence(blocks: np.ndarray) -> np.ndarray:
+    """Stream position of each request's previous request to the same
+    block, or -1 for a block's first request.
 
     This is the window-*independent* half of
     :func:`coalesce_window_exact`'s work: sweeps over many window sizes
     (or variants sharing one stream) compute it once and pass it via
-    the ``order`` argument, which the engine's per-matrix analysis
-    cache does automatically.
+    the ``prev`` argument, which the engine's per-matrix analysis cache
+    does automatically.
+
+    One ``np.sort`` of the int64 key ``(block - min) * n + position``
+    lines the requests up by block and, within a block, by position,
+    so each request's left neighbour with the same block is its
+    previous occurrence.  When that key would overflow int64 (far-apart
+    ids), the blocks are replaced by their dense ranks first; ranks
+    keep block equality and bound the key by ``n * n``.
     """
-    return np.argsort(np.asarray(blocks, dtype=np.int64), kind="stable")
+    blocks = np.asarray(blocks, dtype=np.int64)
+    n = int(blocks.size)
+    prev = np.full(n, -1, dtype=np.int64)
+    if n < 2:
+        return prev
+    base = int(blocks.min())
+    if (int(blocks.max()) - base + 1) * n > np.iinfo(np.int64).max:
+        # Far-apart blocks: key on their dense ranks instead.
+        key = np.unique(blocks, return_inverse=True)[1].astype(np.int64)
+    else:
+        key = blocks - base
+    key *= n
+    key += np.arange(n, dtype=np.int64)
+    key.sort()
+    pos = key % n
+    key -= pos  # the block part alone
+    prev[pos[1:]] = np.where(key[1:] == key[:-1], pos[:-1], -1)
+    return prev
 
 
 def window_candidates(
     blocks: np.ndarray,
     window: int,
-    order: np.ndarray | None = None,
+    prev: np.ndarray | None = None,
     base_window: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window warp candidates of a block stream, window-grouped.
 
     The window-*local* half of :func:`coalesce_window_exact`: a request
     is a warp candidate iff it is the first occurrence of its block
-    within its W-request window, and candidates are returned in stream
-    (first-occurrence) order as ``(cand, cand_win)`` — the block id and
-    the window index of every candidate.
+    within its W-request window — iff its block's previous occurrence
+    lies before the window's first request — and candidates are
+    returned in stream (first-occurrence) order as ``(cand,
+    cand_win)``: the block id and the window index of every candidate.
 
     Because the predicate never looks outside the request's own window,
     a stream chunked at *window-aligned* boundaries yields exactly the
     concatenation of its chunks' candidates — the property the engine's
     intra-matrix stream sharding relies on.  ``base_window`` offsets the
     reported window indices for such a chunk (pass
-    ``chunk_start // window``).  ``order``, if given, must be
-    ``block_sort_order(blocks)`` for the same (chunk of the) stream.
+    ``chunk_start // window``).  ``prev``, if given, must be
+    ``previous_occurrence(blocks)`` for the same (chunk of the) stream.
     """
     if blocks.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     blocks = np.asarray(blocks, dtype=np.int64)
     n = blocks.size
-    if order is None:
-        order = block_sort_order(blocks)
+    if prev is None:
+        prev = previous_occurrence(blocks)
 
-    # In the stable by-value order, an element's left neighbour within
-    # its equal-block run is that block's previous occurrence in the
-    # stream; the element opens a warp iff that neighbour lies in an
-    # earlier window (or the run starts here).
-    sorted_blocks = blocks[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    head[1:] = (sorted_blocks[1:] != sorted_blocks[:-1]) | (
-        order[1:] // window != order[:-1] // window
-    )
-    opens = np.zeros(n, dtype=bool)
-    opens[order[head]] = True
-    first_pos = np.flatnonzero(opens)
+    # starts[i] is the first position of request i's window (a window
+    # longer than the stream is one window, not a window-sized array).
+    starts = np.repeat(np.arange(0, n, window, dtype=np.int64), min(window, n))[:n]
+    first_pos = np.flatnonzero(prev < starts)
 
     cand = blocks[first_pos]  # warp candidates, window-grouped,
     cand_win = first_pos // window  # in first-occurrence order
@@ -165,10 +190,9 @@ def resolve_window_carry(
     ends = np.cumsum(counts)
     last = cand[ends - 1]
     multi = counts >= 2
-    no_carry = int(cand.min()) - 1  # sentinel below every real tag
-    # Second-to-last candidate; the gather index is only meaningful
-    # where the window has >= 2 candidates (masked below).
-    second = np.where(multi, cand[ends - 2], no_carry)
+    # Second-to-last candidate; it is only meaningful where the window
+    # has >= 2 candidates, and every use below is masked by ``multi``.
+    second = cand[ends - 2]
 
     # Resolve x[t] = (K[t] == L[t]).  Transition into window t:
     #   x[t] = eqS[t-1] if (x[t-1] and multi[t-1]) else eqL[t-1]
@@ -189,28 +213,31 @@ def resolve_window_carry(
         parity = (neg_csum - neg_csum[anchor_t[ai]]) & 1
         x = anchor_v[ai] ^ parity.astype(bool)
 
-    # Carry tag entering each window (no_carry = none yet).
-    carry = np.full(num_win, no_carry, dtype=np.int64)
+    # Carry tag entering each window; window 0 has none, so carry[0]
+    # is never compared (its candidates are all issued below).
+    carry = np.empty(num_win, dtype=np.int64)
     if num_win > 1:
         carried_second = x[:-1] & multi[:-1]
         carry[1:] = np.where(carried_second, second[:-1], last[:-1])
 
     # A window's carry hit (at most one — candidates are distinct)
     # merges into the open warp at no new access; the rest are issued.
-    tags = cand[cand != carry[cand_win]]
+    issued = cand != carry[cand_win]
+    issued[: ends[0]] = True
+    tags = cand[issued]
     return int(tags.size), tags
 
 
 def coalesce_window_exact(
-    blocks: np.ndarray, window: int, order: np.ndarray | None = None
+    blocks: np.ndarray, window: int, prev: np.ndarray | None = None
 ) -> tuple[int, np.ndarray]:
     """Count wide element accesses for a W-window coalescer.
 
     ``blocks`` is the per-request wide-block id stream.  Returns
     ``(total_wide_accesses, warp_tags)`` where ``warp_tags`` is the
     block id of every issued warp in issue order (used for the DRAM
-    bank/row walk).  ``order``, if given, must be
-    ``block_sort_order(blocks)`` (precomputed for sweep reuse).
+    bank/row walk).  ``prev``, if given, must be
+    ``previous_occurrence(blocks)`` (precomputed for sweep reuse).
 
     Implements exactly the cycle model's grouping: all requests of one
     window that fall into the same block form one warp; a warp left
@@ -224,9 +251,10 @@ def coalesce_window_exact(
     stream across workers and merge exactly:
 
     * :func:`window_candidates` — the window-local (and therefore
-      chunkable) candidate extraction via the stable by-value sort: an
-      element opens a warp iff its block's previous occurrence falls in
-      an earlier window;
+      chunkable) candidate extraction, one comparison per request
+      against the cached :func:`previous_occurrence` array: an element
+      opens a warp iff its block's previous occurrence falls before
+      its window's first request;
     * :func:`resolve_window_carry` — the sequential
       carry-across-windows dependence, collapsed analytically.  With
       ``K[t]`` the carry tag entering window ``t``, ``C[t]`` the
@@ -241,7 +269,7 @@ def coalesce_window_exact(
     """
     if blocks.size == 0:
         return 0, np.empty(0, dtype=np.int64)
-    cand, cand_win = window_candidates(blocks, window, order)
+    cand, cand_win = window_candidates(blocks, window, prev)
     num_win = (int(blocks.size) - 1) // window + 1
     return resolve_window_carry(cand, cand_win, num_win)
 
@@ -255,8 +283,10 @@ def _interleave_streams(elem_blocks: np.ndarray, idx_blocks: np.ndarray) -> np.n
     merged = np.empty(total, dtype=np.int64)
     # Positions of index transactions spread evenly through the run.
     if len(idx_blocks):
+        # linspace never decreases, so dropping adjacent repeats is
+        # np.unique without its sort.
         idx_pos = np.linspace(0, total - 1, num=len(idx_blocks)).astype(np.int64)
-        idx_pos = np.unique(idx_pos)
+        idx_pos = idx_pos[np.concatenate(([True], idx_pos[1:] != idx_pos[:-1]))]
         while len(idx_pos) < len(idx_blocks):  # collisions at tiny sizes
             extra = np.setdiff1d(np.arange(total), idx_pos)[: len(idx_blocks) - len(idx_pos)]
             idx_pos = np.sort(np.concatenate([idx_pos, extra]))
@@ -396,8 +426,8 @@ def fast_indirect_stream(
     :func:`repro.axipack.adapter.run_indirect_stream`.
 
     Pass ``analysis`` (from :func:`analyze_stream`) when sweeping many
-    variants over one stream to amortise the by-value sort; a stale
-    analysis (wrong element geometry, length, or sampled stream
+    variants over one stream to amortise its previous-occurrence sort;
+    a stale analysis (wrong element geometry, length, or sampled stream
     content — see :func:`_analysis_matches`) falls back to recomputing.
     ``channels > 1`` prices a block-interleaved multi-channel memory
     (:class:`repro.mem.multichannel.MultiChannelMemory`), one bank-state
@@ -410,10 +440,10 @@ def fast_indirect_stream(
     if analysis is not None and _analysis_matches(
         analysis, indices, elements_per_block
     ):
-        blocks, sort_order = analysis.blocks, analysis.order
+        blocks, prev = analysis.blocks, analysis.prev
     else:
         blocks = indices // elements_per_block
-        sort_order = None
+        prev = None
 
     if not config.has_coalescer:
         elem_txns = count
@@ -421,7 +451,7 @@ def fast_indirect_stream(
     else:
         assert config.coalescer is not None
         elem_txns, warp_tags = coalesce_window_exact(
-            blocks, config.coalescer.window, sort_order
+            blocks, config.coalescer.window, prev
         )
     return fast_metrics_from_tags(
         count, elem_txns, warp_tags, config, dram, variant, channels

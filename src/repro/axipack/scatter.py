@@ -400,8 +400,9 @@ def fast_indirect_scatter(
     ``analysis`` is the optional precomputed stream analysis
     (:func:`repro.axipack.fastmodel.analyze_stream`) — the write
     coalescer groups by the same wide-block ids as the read path, so a
-    sweep shares one sort across gather and scatter variants (the
-    engine's ``scatter`` backend passes its cached analysis here).
+    sweep shares one previous-occurrence array across gather and
+    scatter variants (the engine's ``scatter`` backend passes its
+    cached analysis here).
     """
     config = config or AdapterConfig()
     dram = dram_config or DramConfig()
@@ -412,11 +413,11 @@ def fast_indirect_scatter(
     if analysis is not None and _analysis_matches(
         analysis, indices, elements_per_block
     ):
-        blocks, order = analysis.blocks, analysis.order
+        blocks, prev = analysis.blocks, analysis.prev
     else:
         blocks = indices * config.element_bytes // dram.access_bytes
-        order = None
-    elem_txns, tags = coalesce_window_exact(blocks, config.coalescer.window, order)
+        prev = None
+    elem_txns, tags = coalesce_window_exact(blocks, config.coalescer.window, prev)
     idx_txns = ceil_div(len(indices) * config.index_bytes, dram.access_bytes)
     # Wide writes stream through the same bank-state service timeline
     # as reads (write bursts occupy the bus and rows identically).

@@ -396,7 +396,7 @@ class AdapterBackend(SweepBackend):
         if window is None:  # MLPnc: every request is its own wide access
             return {"count": stop - start, "tags": analysis.blocks}
         cand, cand_win = window_candidates(
-            analysis.blocks, window, analysis.order, base_window=start // window
+            analysis.blocks, window, analysis.prev, base_window=start // window
         )
         return {"count": stop - start, "cand": cand, "cand_win": cand_win}
 

@@ -6,7 +6,8 @@ the shared per-matrix work:
 
 * synthesising the scaled matrix (``get_matrix``),
 * deriving the format-ordered index stream,
-* the stream's wide-block analysis (block ids + stable by-value sort,
+* the stream's wide-block analysis (block ids + each request's
+  previous occurrence of its block,
   :class:`repro.axipack.fastmodel.StreamAnalysis`),
 * CSR layout statistics used for result-table annotation.
 
@@ -139,13 +140,14 @@ class AnalysisCache:
         elements_per_block: int,
         chunk: tuple[int, int] | None = None,
     ) -> StreamAnalysis:
-        """Block-id stream + stable sort, shared across window sizes.
+        """Block ids + previous occurrences, shared across window sizes.
 
         ``elements_per_block`` is the DRAM access width in elements
         (``dram.access_bytes // config.element_bytes``); every window
-        size of one variant family shares the same analysis, which is
-        what makes the vectorized ``coalesce_window_exact`` ~24× faster
-        than the reference loop on the fig4 window sweep.  As with
+        size of one variant family shares the same analysis, so each
+        ``coalesce_window_exact`` call is left with linear passes and
+        no sort (``benchmarks/bench_coalescer.py`` measures the fig4
+        window sweep against the reference loop).  As with
         :meth:`stream`, ``chunk`` bounds are part of the key: the
         analysis of a stream chunk is never conflated with the
         whole-stream analysis.

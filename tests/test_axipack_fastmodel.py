@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.axipack.fastmodel import coalesce_window_exact, fast_indirect_stream
+from repro.axipack.fastmodel import (
+    _interleave_streams,
+    coalesce_window_exact,
+    fast_indirect_stream,
+)
 from repro.config import DramConfig, mlp_config, nocoalescer_config, seq_config
 from repro.mem.timeline import service_timeline
 
@@ -53,6 +57,52 @@ class TestWindowExactCoalescing:
     def test_empty_stream(self):
         count, tags = coalesce_window_exact(np.empty(0, dtype=np.int64), 8)
         assert count == 0 and len(tags) == 0
+
+    def test_window_longer_than_stream(self):
+        """A window longer than the stream is one window, and a direct
+        call sizes nothing by W (variant labels stop at W = 2048, the
+        ``CoalescerConfig`` offset budget)."""
+        blocks = np.array([3, 1, 3, 2], dtype=np.int64)
+        count, tags = coalesce_window_exact(blocks, 1 << 40)
+        assert count == 3
+        assert tags.tolist() == [3, 1, 2]
+
+
+def interleave_textbook(elem_blocks, idx_blocks):
+    """Index transaction k goes to slot ``int(linspace(0, T-1, m)[k])``
+    of the ``T``-slot merged stream; element transactions fill the
+    remaining slots in order."""
+    total = len(elem_blocks) + len(idx_blocks)
+    slots = [None] * total
+    positions = np.linspace(0, total - 1, num=len(idx_blocks))
+    for k, block in enumerate(idx_blocks.tolist()):
+        slot = int(positions[k])
+        assert slots[slot] is None  # the definition needs distinct slots
+        slots[slot] = block
+    elements = iter(elem_blocks.tolist())
+    return [next(elements) if block is None else block for block in slots]
+
+
+class TestInterleave:
+    @staticmethod
+    def check(elem_count, idx_count, rng):
+        elem = rng.integers(0, 1 << 20, elem_count)
+        idx = np.arange(idx_count, dtype=np.int64) + (1 << 22)
+        merged = _interleave_streams(elem, idx)
+        assert merged.dtype == np.int64
+        assert merged.tolist() == interleave_textbook(elem, idx)
+
+    def test_every_small_shape(self):
+        """Every shape up to 64 element and 64 index transactions."""
+        rng = np.random.default_rng(0)
+        for elem_count in range(65):
+            for idx_count in range(65):
+                self.check(elem_count, idx_count, rng)
+
+    def test_report_sized_stream(self):
+        """A 60k-request stream's shape: ~23k warps, 3,750 index
+        transactions (4-byte indices, 64-byte accesses)."""
+        self.check(23_456, 3_750, np.random.default_rng(1))
 
 
 class TestDramEstimate:

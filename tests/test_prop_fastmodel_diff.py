@@ -11,7 +11,9 @@ and queue depths.
 Two vectorized kernels are pinned here:
 
 * :func:`~repro.axipack.fastmodel.coalesce_window_exact` against the
-  seed per-window loop;
+  seed per-window loop, including ids over the whole int64 range, and
+  the :func:`~repro.axipack.fastmodel.previous_occurrence` array it
+  runs on against a dict walk;
 * :func:`~repro.mem.timeline.service_timeline` (the bank-state DRAM
   timeline) against its walking oracle, including adversarial
   single-bank and row-thrash streams where the bank dimension
@@ -32,8 +34,8 @@ from hypothesis import strategies as st
 
 from repro.axipack.fastmodel import (
     analyze_stream,
-    block_sort_order,
     coalesce_window_exact,
+    previous_occurrence,
 )
 from repro.axipack.reference import (
     coalesce_window_reference,
@@ -100,9 +102,10 @@ def row_thrash_streams(draw):
 def wide_block_streams(draw):
     """Block ids spread over +-2^62 plus both int64 extremes.  With at
     least 8 requests no int64 sort key holds their row span, so the
-    timeline must dense-rank the rows.  Ids come from a small pool, and
-    half of them move to another bank inside their row, so rows repeat
-    within and across queue windows (hits and carried hits)."""
+    timeline must dense-rank the rows (and ``previous_occurrence`` its
+    blocks).  Ids come from a small pool, and half of them move to
+    another bank inside their row, so rows repeat within and across
+    queue windows (hits and carried hits)."""
     count = draw(st.integers(min_value=8, max_value=300))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     i64 = np.iinfo(np.int64)
@@ -119,12 +122,27 @@ windows = st.integers(min_value=1, max_value=300)
 queue_depths = st.integers(min_value=1, max_value=80)
 
 
+def previous_occurrence_walk(blocks):
+    """Each request's previous request to the same block, by a walk
+    that remembers every block's latest position."""
+    latest: dict[int, int] = {}
+    prev = []
+    for position, block in enumerate(blocks.tolist()):
+        prev.append(latest.get(block, -1))
+        latest[block] = position
+    return np.array(prev, dtype=np.int64)
+
+
+#: sweep-shaped streams and streams with ids at both int64 extremes.
+any_block_streams = st.one_of(block_streams(), wide_block_streams())
+
+
 class TestCoalescerDifferential:
-    @given(blocks=block_streams(), window=windows)
-    @settings(max_examples=300, deadline=None)
+    @given(blocks=any_block_streams, window=windows)
+    @settings(max_examples=500, deadline=None)
     def test_bit_exact_vs_reference(self, blocks, window):
         """Wide-access count AND warp-tag issue order match the oracle
-        exactly — no tolerance."""
+        exactly — no tolerance — ids at the int64 extremes included."""
         count_vec, tags_vec = coalesce_window_exact(blocks, window)
         count_ref, tags_ref = coalesce_window_reference(blocks, window)
         assert count_vec == count_ref
@@ -133,10 +151,10 @@ class TestCoalescerDifferential:
     @given(blocks=block_streams(), window=windows)
     @settings(max_examples=100, deadline=None)
     def test_precomputed_order_is_equivalent(self, blocks, window):
-        """Passing the cached by-value sort (the sweep path) changes
-        nothing versus computing it in-call."""
-        order = block_sort_order(blocks) if blocks.size else None
-        count_a, tags_a = coalesce_window_exact(blocks, window, order)
+        """Passing the cached previous-occurrence array (the sweep
+        path) changes nothing versus computing it in-call."""
+        prev = previous_occurrence(blocks)
+        count_a, tags_a = coalesce_window_exact(blocks, window, prev)
         count_b, tags_b = coalesce_window_exact(blocks, window)
         assert count_a == count_b
         assert np.array_equal(tags_a, tags_b)
@@ -155,10 +173,18 @@ class TestCoalescerDifferential:
     @given(blocks=block_streams())
     @settings(max_examples=50, deadline=None)
     def test_analyze_stream_geometry(self, blocks):
-        """analyze_stream derives blocks/order consistently."""
+        """analyze_stream derives blocks/prev consistently."""
         analysis = analyze_stream(blocks * 8, 8)
         assert np.array_equal(analysis.blocks, blocks)
-        assert np.array_equal(analysis.order, block_sort_order(blocks))
+        assert np.array_equal(analysis.prev, previous_occurrence(blocks))
+
+    @given(blocks=any_block_streams)
+    @settings(max_examples=400, deadline=None)
+    def test_previous_occurrence_matches_walk(self, blocks):
+        """The one-sort previous-occurrence array equals a dict walk."""
+        assert np.array_equal(
+            previous_occurrence(blocks), previous_occurrence_walk(blocks)
+        )
 
 
 def assert_timeline_matches_oracle(blocks, dram, queue_depth=None):
