@@ -22,7 +22,7 @@ from .fastmodel import StreamAnalysis, analyze_stream, fast_indirect_stream
 from .metrics import AdapterMetrics
 from .scatter import fast_indirect_scatter, run_indirect_scatter
 from .strided import StridedBurst, fast_strided_stream, run_strided_stream
-from .variants import VARIANT_LABELS, make_adapter_config
+from .variants import VARIANT_LABELS
 
 __all__ = [
     "IndirectStreamUnit",
@@ -39,5 +39,4 @@ __all__ = [
     "run_strided_stream",
     "fast_strided_stream",
     "VARIANT_LABELS",
-    "make_adapter_config",
 ]

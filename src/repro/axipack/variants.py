@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from ..config import AdapterConfig, variant_config
-
 #: Fig. 3 x-axis configurations, in plot order.
 VARIANT_LABELS: tuple[str, ...] = (
     "MLPnc",
@@ -18,12 +16,3 @@ VARIANT_LABELS: tuple[str, ...] = (
 
 #: Fig. 4 subset.
 FIG4_VARIANTS: tuple[str, ...] = ("MLPnc", "MLP16", "MLP64", "MLP256", "SEQ256")
-
-
-def make_adapter_config(label: str) -> AdapterConfig:
-    """Adapter configuration for a paper variant label.
-
-    ``MLPnc`` has no coalescer; ``MLPx`` uses an x-window parallel
-    coalescer; ``SEQx`` an x-window sequential one.
-    """
-    return variant_config(label)

@@ -250,10 +250,6 @@ class SweepExecutor:
                 initargs=(obs.worker_config(),),
             )
             self.stats["pool_spawns"] += 1
-            obs.get_registry().inc(
-                obs.names.stat_metric("pool_spawns"),
-                help="process pools spawned",
-            )
         return self._pool
 
     def _respawn_pool(self) -> ProcessPoolExecutor:
@@ -362,7 +358,9 @@ class SweepExecutor:
         need the full input-ordered table use :meth:`run`, streaming
         consumers (:mod:`repro.serve`) forward each group as it lands.
 
-        ``last_stats`` is finalised when the generator is exhausted.
+        ``last_stats`` is finalised when the generator ends, also when
+        its consumer stops early or a merge raises: it then counts the
+        tasks that completed and the groups that merged.
         """
         groups, tasks, group_slices = self._plan(points)
 
@@ -384,39 +382,42 @@ class SweepExecutor:
         else:
             completions = self._pooled_outcomes(tasks)
 
-        for index, outcome in completions:
-            payload, delta, spans, bins = outcome
-            if spans:
-                obs.adopt_spans(spans)
-            if bins:
-                profiler = obs_profiler.active()
-                if profiler is not None:
-                    profiler.merge(bins)
-            outcomes[index] = (payload, delta)
-            key = task_group[index]
-            remaining[key] -= 1
-            if remaining[key]:
-                continue
-            window = slice_of_group[key]
-            variants = tuple(groups[key])
-            rows = get_backend(key[0]).merge(
-                key,
-                variants,
-                tasks[window],
-                [payload for payload, _ in outcomes[window]],  # type: ignore[misc]
-            )
-            yield key, variants, rows
-
-        self.last_stats = {
-            "groups": len(groups),
-            "tasks": len(tasks),
-            "cache_hits": sum(delta["hits"] for _, delta in outcomes),  # type: ignore[misc]
-            "cache_misses": sum(delta["misses"] for _, delta in outcomes),  # type: ignore[misc]
-            "cache_evictions": sum(delta["evictions"] for _, delta in outcomes),  # type: ignore[misc]
-        }
-        for key, value in self.last_stats.items():
-            self.stats[key] += value
-        obs.inc_stats(self.last_stats, help="engine sweep counters")
+        merged = 0
+        try:
+            for index, outcome in completions:
+                payload, delta, spans, bins = outcome
+                if spans:
+                    obs.adopt_spans(spans)
+                if bins:
+                    profiler = obs_profiler.active()
+                    if profiler is not None:
+                        profiler.merge(bins)
+                outcomes[index] = (payload, delta)
+                key = task_group[index]
+                remaining[key] -= 1
+                if remaining[key]:
+                    continue
+                window = slice_of_group[key]
+                variants = tuple(groups[key])
+                rows = get_backend(key[0]).merge(
+                    key,
+                    variants,
+                    tasks[window],
+                    [payload for payload, _ in outcomes[window]],  # type: ignore[misc]
+                )
+                merged += 1
+                yield key, variants, rows
+        finally:
+            deltas = [outcome[1] for outcome in outcomes if outcome is not None]
+            self.last_stats = {
+                "groups": merged,
+                "tasks": len(deltas),
+                "cache_hits": sum(delta["hits"] for delta in deltas),
+                "cache_misses": sum(delta["misses"] for delta in deltas),
+                "cache_evictions": sum(delta["evictions"] for delta in deltas),
+            }
+            for key, value in self.last_stats.items():
+                self.stats[key] += value
 
     def run(self, points: Sequence[SweepPoint]) -> list[dict]:
         """Evaluate every point; one result row per point, input order.
@@ -457,4 +458,3 @@ class SweepExecutor:
         for key, value in counters.items():
             self.last_stats[key] = self.last_stats.get(key, 0) + int(value)
             self.stats[key] = self.stats.get(key, 0) + int(value)
-        obs.inc_stats(counters, help="driver-reported counters")

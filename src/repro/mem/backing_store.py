@@ -1,10 +1,9 @@
 """Byte-addressable backing store behind the memory models.
 
 A :class:`BackingStore` is a flat numpy byte buffer plus a bump
-allocator.  The sparse-matrix layout code allocates the ``val``,
-``col_idx``, ``vec`` ... arrays here, and both memory models serve reads
-and writes from it, so the functional output of a simulation is the data
-that actually moved through the modelled channel.
+allocator.  Both memory models serve reads and writes from it, so the
+functional output of a simulation is the data that actually moved
+through the modelled channel.
 """
 
 from __future__ import annotations

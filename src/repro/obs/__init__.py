@@ -1,11 +1,10 @@
 """``repro.obs`` — dependency-free telemetry for every layer.
 
-Four cooperating pieces, all stdlib-only:
+Three cooperating pieces, all stdlib-only:
 
-- :mod:`repro.obs.names` — the canonical stat-key and metric-name
-  spellings (asserted in tests so manifests and ``/stats`` never drift),
 - :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms with Prometheus text exposition,
+  gauges and histograms with Prometheus text exposition; counters are
+  set from the layers' stat dicts when ``/metrics`` is scraped,
 - :mod:`repro.obs.trace` — context-manager span tracing to an NDJSON
   sink, propagated across pool workers,
 - :mod:`repro.obs.profiler` — opt-in sim-cycle attribution binning
@@ -13,7 +12,7 @@ Four cooperating pieces, all stdlib-only:
 
 Everything is **off by default and free when off**: ``span()`` returns
 a shared no-op, the profiler hook is one global load, and the registry
-only holds what was actually incremented.
+only holds what was actually recorded.
 
 :func:`tracing` is the CLI entry point: it wires a ``--trace`` path to
 the tracer + profiler for the duration of a command, opens a root span,
@@ -29,14 +28,9 @@ from __future__ import annotations
 
 import contextlib
 
-from . import names, profiler, trace
+from . import profiler, trace
 from .logs import logging_setup
-from .metrics import (
-    MetricsRegistry,
-    get_registry,
-    inc_stats,
-    reset_registry,
-)
+from .metrics import MetricsRegistry, get_registry, reset_registry
 from .profiler import CycleProfiler, profiled
 from .trace import (
     NULL_SPAN,
@@ -48,13 +42,11 @@ from .trace import (
 )
 
 __all__ = [
-    "names",
     "profiler",
     "trace",
     "logging_setup",
     "MetricsRegistry",
     "get_registry",
-    "inc_stats",
     "reset_registry",
     "CycleProfiler",
     "profiled",

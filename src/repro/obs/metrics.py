@@ -1,24 +1,19 @@
 """Dependency-free metrics registry with Prometheus text exposition.
 
 :class:`MetricsRegistry` holds counters, gauges and histograms with
-labeled series.  It unifies the ad-hoc counter dicts the layers keep
-(executor ``stats``, :class:`JobManager` stats, corpus tallies,
-:class:`AnalysisCache` hit/miss/eviction deltas): the dicts remain the
-source of truth for their committed/wire schemas, and every increment
-is mirrored here under the canonical metric names
-(:mod:`repro.obs.names`) so one ``GET /metrics`` scrape exposes the
-whole system.
+labeled series.  Counts live in the plain stat dicts the layers keep
+(executor ``stats``, :class:`JobManager` stats, corpus tallies folded
+in via ``add_stats``); the serve front end sets them here as counter
+series when ``/metrics`` is scraped, so the dicts are the only place a
+counter is incremented.  Histograms are observed directly.
 
-The registry is thread-safe (the serve front end increments from many
-handler threads) and process-local: pool workers mirror into their own
-registry, and the cross-process truth travels back with shard results
-exactly like the cache counters always have — the parent registry is
-fed from the aggregated deltas, never sampled from workers.
+The registry is thread-safe (the serve front end writes from many
+handler threads) and process-local.
 
 Example::
 
     >>> registry = MetricsRegistry()
-    >>> registry.inc("repro_demo_total", 2, flavor="a")
+    >>> registry.set_counter("repro_demo_total", 2, flavor="a")
     >>> registry.value("repro_demo_total", flavor="a")
     2
     >>> print(registry.render().splitlines()[2])
@@ -107,14 +102,13 @@ class MetricsRegistry:
 
     # -- writes ------------------------------------------------------------
 
-    def inc(self, name: str, value: float = 1, help: str = "", **labels) -> None:
-        """Add ``value`` (>= 0) to a counter series."""
-        if value < 0:
-            raise ValueError(f"counter {name!r} cannot decrease (got {value})")
+    def set_counter(self, name: str, value: float, help: str = "", **labels) -> None:
+        """Set a counter series to ``value``, read from the stat dict
+        that owns the count."""
         key = _labels_key(labels)
         with self._lock:
             metric = self._metric(name, "counter", help)
-            metric.series[key] = metric.series.get(key, 0) + value
+            metric.series[key] = value
 
     def set_gauge(self, name: str, value: float, help: str = "", **labels) -> None:
         """Set a gauge series to ``value``."""
@@ -216,7 +210,7 @@ class MetricsRegistry:
             return sum(len(m.series) for m in self._metrics.values())
 
 
-#: the process-wide registry every layer feeds by default.
+#: the process-wide registry ``GET /metrics`` renders.
 _REGISTRY = MetricsRegistry()
 
 
@@ -230,14 +224,3 @@ def reset_registry() -> MetricsRegistry:
     global _REGISTRY
     _REGISTRY = MetricsRegistry()
     return _REGISTRY
-
-
-def inc_stats(counters: dict, help: str = "") -> None:
-    """Mirror a stat-counter dict into the default registry under the
-    canonical metric names (:func:`repro.obs.names.stat_metric`)."""
-    from .names import stat_metric
-
-    registry = _REGISTRY
-    for key, value in counters.items():
-        if value:
-            registry.inc(stat_metric(key), value, help=help)

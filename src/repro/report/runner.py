@@ -46,8 +46,9 @@ DEFAULT_DOC_PATH = Path("EXPERIMENTS.md")
 FULL_STORE_DIR = Path("results/full")
 FULL_DOC_PATH = Path("results/full/EXPERIMENTS.md")
 
-#: The experiment registry — the CLI and the report shim dispatch off
-#: this single map, so a new experiment is added exactly once.
+#: The experiment registry — the CLI, ``report run`` and the serve
+#: protocol dispatch off this single map, so a new experiment is added
+#: exactly once.
 RUNNERS = {
     "table1": run_table1,
     "fig3": run_fig3,

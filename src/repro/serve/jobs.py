@@ -43,7 +43,6 @@ from pathlib import Path
 from ..engine import SweepExecutor
 from ..errors import ExperimentError, ReproError
 from ..obs import metrics as obs_metrics
-from ..obs import names as obs_names
 from ..obs import trace as obs_trace
 from ..report.runner import DEFAULT_STORE_DIR
 from ..report.store import ResultStore
@@ -144,8 +143,8 @@ class JobManager:
         ``serve.request`` span whose trace id is echoed in the
         ``accepted`` and ``done`` events, so a client can join its
         response to the server-side trace; request latency is always
-        recorded in the :data:`~repro.obs.names.SERVE_REQUEST_SECONDS`
-        histogram, labeled by the answering layer.
+        recorded in the ``repro_serve_request_seconds`` histogram,
+        labeled by the answering layer.
         """
         started = time.perf_counter()
         source = "error"
@@ -165,11 +164,11 @@ class JobManager:
                     yield event
             except ReproError:
                 with self._lock:
-                    self._count("errors")
+                    self.stats["errors"] += 1
                 raise
             finally:
                 obs_metrics.get_registry().observe(
-                    obs_names.SERVE_REQUEST_SECONDS,
+                    "repro_serve_request_seconds",
                     time.perf_counter() - started,
                     help="serve request latency by answering layer",
                     source=source,
@@ -179,24 +178,16 @@ class JobManager:
         """Release the engine's persistent pool."""
         self.executor.close()
 
-    def _count(self, name: str, value: int = 1) -> None:
-        """Bump one layer counter (caller holds ``_lock``) and mirror
-        it into the metrics registry under its canonical name."""
-        self.stats[name] += value
-        obs_metrics.get_registry().inc(
-            obs_names.stat_metric(name), value, help="serve layer counters"
-        )
-
     # -- layers ------------------------------------------------------------
 
     def _stream_request(self, request: Request):
         key = request.job_key
         with self._lock:
-            self._count("requests")
+            self.stats["requests"] += 1
             cached = self._responses.get(key)
             if cached is not None:
                 self._responses.move_to_end(key)
-                self._count("response_hits")
+                self.stats["response_hits"] += 1
         if cached is not None:
             yield from self._replay(key, "cache", cached)
             return
@@ -204,7 +195,7 @@ class JobManager:
         stored = self._store_lookup(request)
         if stored is not None:
             with self._lock:
-                self._count("store_hits")
+                self.stats["store_hits"] += 1
             self._remember(key, stored)
             yield from self._replay(key, "store", stored)
             return
@@ -216,7 +207,7 @@ class JobManager:
                 job = _Job(key)
                 self._inflight[key] = job
             else:
-                self._count("coalesced")
+                self.stats["coalesced"] += 1
 
         if not leader:
             job.done.wait()
@@ -237,7 +228,7 @@ class JobManager:
                     yield {"event": "rows", "rows": [dict(r) for r in chunk]}
             job.rows = rows
             with self._lock:
-                self._count("computed")
+                self.stats["computed"] += 1
             self._remember(key, rows)
             yield {"event": "done", "source": "computed", "row_count": len(rows)}
         except BaseException as exc:
@@ -262,7 +253,7 @@ class JobManager:
             self._responses.move_to_end(key)
             while len(self._responses) > self.cache_size:
                 self._responses.popitem(last=False)
-                self._count("response_evictions")
+                self.stats["response_evictions"] += 1
 
     # -- computation -------------------------------------------------------
 

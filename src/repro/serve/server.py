@@ -31,7 +31,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ReproError, ServeError
 from ..obs import metrics as obs_metrics
-from ..obs import names as obs_names
 from ..obs import trace as obs_trace
 from .jobs import JobManager
 from .protocol import json_default
@@ -157,23 +156,40 @@ class ReproServer(ThreadingHTTPServer):
         self.verbose = verbose
 
 
-def _refresh_gauges(manager: JobManager) -> None:
-    """Bring scrape-time gauges up to date in the default registry."""
+def _refresh(manager: JobManager) -> None:
+    """Bring the default registry up to date at scrape time.
+
+    The stat dicts are the only counters.  Each key becomes one counter
+    series: ``repro_serve_<key>_total`` for the job layers,
+    ``repro_<key>_total`` for the corpus tallies folded into the
+    executor, and ``repro_engine_<key>_total`` for every other executor
+    key.  Each dict is copied once, since ``add_stats`` can add a key
+    while a scrape runs.
+    """
     registry = obs_metrics.get_registry()
+    for key, value in dict(manager.stats).items():
+        registry.set_counter(
+            f"repro_serve_{key}_total", value, help="serve layer counters"
+        )
+    for key, value in dict(manager.executor.stats).items():
+        layer = "" if key.startswith("corpus_") else "engine_"
+        registry.set_counter(
+            f"repro_{layer}{key}_total", value, help="engine sweep counters"
+        )
     registry.set_gauge(
-        obs_names.ENGINE_WORKERS,
+        "repro_engine_workers",
         manager.executor.workers,
         help="engine worker processes",
     )
     registry.set_gauge(
-        obs_names.SERVE_RESPONSE_CACHE_ENTRIES,
+        "repro_serve_response_cache_entries",
         len(manager._responses),
         help="response cache entries",
     )
     tracer = obs_trace.get_tracer()
     if tracer is not None:
         registry.set_gauge(
-            obs_names.TRACE_SPANS_TOTAL,
+            "repro_trace_spans_total",
             tracer.spans_written,
             help="spans written to the trace sink",
         )
@@ -181,8 +197,8 @@ def _refresh_gauges(manager: JobManager) -> None:
 
 def render_metrics(manager: JobManager) -> str:
     """The ``GET /metrics`` body: Prometheus text exposition of the
-    default registry, with scrape-time gauges refreshed first."""
-    _refresh_gauges(manager)
+    default registry, brought up to date first."""
+    _refresh(manager)
     return obs_metrics.get_registry().render()
 
 
@@ -190,7 +206,7 @@ def service_stats(manager: JobManager) -> dict:
     """The ``/stats`` payload: job layers + engine totals, plus the
     active trace id (if the server runs under ``--trace``) and a
     JSON snapshot of the metrics registry."""
-    _refresh_gauges(manager)
+    _refresh(manager)
     return {
         "jobs": dict(manager.stats),
         "engine": dict(manager.executor.stats),

@@ -12,7 +12,7 @@ fall-through full-side, as in a FIFO with combinational ready).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generic, Iterable, Iterator, TypeVar
+from typing import Any, Generic, Iterator, TypeVar
 
 from ..errors import ProtocolError
 
@@ -71,25 +71,6 @@ class Fifo(Generic[T]):
         self._staged.append(item)
         self.total_pushed += 1
         self._ops[0] += 1
-        occupancy = len(self._committed) + len(self._staged)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
-        wake = self._wake
-        if wake is not None and wake[2]:
-            wake[0].notify(wake[2])
-
-    def push_many(self, items: Iterable[T]) -> None:
-        """Stage several entries in order; all must fit."""
-        items = list(items)
-        if not items:
-            return
-        if not self.can_push(len(items)):
-            raise ProtocolError(f"{self.name}: push_many overflows FIFO")
-        if not self._staged and self._dirty_sink is not None:
-            self._dirty_sink.append(self)
-        self._staged.extend(items)
-        self.total_pushed += len(items)
-        self._ops[0] += len(items)
         occupancy = len(self._committed) + len(self._staged)
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy

@@ -23,6 +23,7 @@ from repro.engine import (
     registered_kinds,
     workers_from_env,
 )
+from repro.engine import executor as executor_mod
 from repro.errors import ExperimentError
 from repro.experiments import run_fig3, run_fig4, run_fig5a, run_fig5b, run_fig6b
 
@@ -291,3 +292,24 @@ class TestPersistentPool:
         assert executor.run(points) == sorted(
             rows, key=lambda r: [p.matrix for p in points].index(r["matrix"])
         )
+
+    def test_closed_stream_counts_the_work_it_did(self, monkeypatch):
+        """A consumer that stops early (a serve client's disconnect
+        closes the generator) still has the tasks that completed and
+        the groups that merged counted."""
+        monkeypatch.setattr(executor_mod, "_PROCESS_CACHE", AnalysisCache())
+        points = grid_points(
+            "adapter", ("msc01440", "pwtk"), ("MLPnc", "MLP64"), max_nnz=4_000
+        )
+        executor = SweepExecutor(workers=1)
+        stream = executor.run_stream(points)
+        next(stream)
+        stream.close()
+        first = dict(executor.last_stats)
+        assert (first["groups"], first["tasks"]) == (1, 1)
+        assert first["cache_misses"] > 0  # the cold cache was consulted
+        assert {key: executor.stats[key] for key in first} == first
+        # a full run still counts every group and task
+        executor.run(points)
+        assert (executor.last_stats["groups"], executor.last_stats["tasks"]) == (2, 2)
+        assert (executor.stats["groups"], executor.stats["tasks"]) == (3, 3)

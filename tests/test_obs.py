@@ -1,11 +1,13 @@
 """The telemetry subsystem: metrics, traces, cycle attribution.
 
-Four contracts pinned here.  **Names**: every stat dict in the system
-spells its keys exactly as :mod:`repro.obs.names` declares (the
+Four contracts pinned here.  **One counter truth**: every stat dict in
+the system spells its keys exactly as the tuples below pin them (the
 spellings leak into committed manifests and the ``/stats`` wire
-schema, so drift is corruption).  **Exactness**: the cycle profiler's
-per-component bins sum bit-exactly to the cycles the simulator says
-elapsed, on both engines, across the differential grid.
+schema, so drift is corruption), and ``/metrics`` reads those dicts at
+scrape time, so every ``/stats`` counter appears there with the same
+value.  **Exactness**: the cycle profiler's per-component bins sum
+bit-exactly to the cycles the simulator says elapsed, on both engines,
+across the differential grid.
 **Propagation**: spans cross the process pool — worker ``engine.shard``
 spans come back re-parented under the requesting run span, one trace
 id end to end.  **Zero cost off**: disabled tracing hands out one
@@ -34,7 +36,7 @@ from repro.corpus import CorpusRunner
 from repro.engine import SweepExecutor, grid_points
 from repro.engine.cache import AnalysisCache
 from repro.errors import ServeError
-from repro.obs import names, profiler, trace
+from repro.obs import profiler, trace
 from repro.serve import JobManager
 from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer
@@ -74,8 +76,8 @@ def clean_telemetry():
 class TestMetricsRegistry:
     def test_counter_round_trip(self):
         registry = obs.MetricsRegistry()
-        registry.inc("repro_demo_total", help="demo")
-        registry.inc("repro_demo_total", 2)
+        registry.set_counter("repro_demo_total", 1, help="demo")
+        registry.set_counter("repro_demo_total", 3)
         assert registry.value("repro_demo_total") == 3
         text = registry.render()
         assert "# HELP repro_demo_total demo" in text
@@ -84,8 +86,8 @@ class TestMetricsRegistry:
 
     def test_labeled_series_are_independent(self):
         registry = obs.MetricsRegistry()
-        registry.inc("repro_demo_total", flavor="a")
-        registry.inc("repro_demo_total", 4, flavor="b")
+        registry.set_counter("repro_demo_total", 1, flavor="a")
+        registry.set_counter("repro_demo_total", 4, flavor="b")
         assert registry.value("repro_demo_total", flavor="a") == 1
         assert registry.value("repro_demo_total", flavor="b") == 4
         assert registry.value("repro_demo_total", flavor="c") == 0
@@ -121,24 +123,14 @@ class TestMetricsRegistry:
 
     def test_kind_conflicts_and_bad_values_raise(self):
         registry = obs.MetricsRegistry()
-        registry.inc("repro_demo_total")
+        registry.set_counter("repro_demo_total", 1)
         with pytest.raises(ValueError, match="is a counter"):
             registry.set_gauge("repro_demo_total", 1)
-        with pytest.raises(ValueError, match="cannot decrease"):
-            registry.inc("repro_demo_total", -1)
         with pytest.raises(ValueError, match="bad metric name"):
-            registry.inc("0bad name")
+            registry.set_counter("0bad name", 1)
         registry.observe("repro_demo_seconds", 0.1)
         with pytest.raises(ValueError, match="histogram"):
             registry.value("repro_demo_seconds")
-
-    def test_inc_stats_mirrors_under_canonical_names(self):
-        obs.inc_stats({"groups": 2, "cache_hits": 5, "cache_misses": 0})
-        registry = obs.get_registry()
-        assert registry.value("repro_engine_groups_total") == 2
-        assert registry.value("repro_engine_cache_hits_total") == 5
-        # zero values are skipped: no empty series clutter
-        assert "repro_engine_cache_misses_total" not in registry.snapshot()
 
 
 # -- canonical names -----------------------------------------------------
@@ -150,14 +142,23 @@ class TestCanonicalNames:
     pinned keys."""
 
     def test_executor_stats_keys(self):
+        run_keys = ("groups", "tasks", "cache_hits", "cache_misses", "cache_evictions")
         executor = SweepExecutor(workers=1)
-        assert tuple(executor.stats) == names.ENGINE_TOTAL_STATS
+        assert tuple(executor.stats) == run_keys + ("pool_spawns",)
         executor.run(grid_points("adapter", ("msc01440",), ("MLPnc",), max_nnz=TINY))
-        assert tuple(executor.last_stats) == names.ENGINE_RUN_STATS
+        assert tuple(executor.last_stats) == run_keys
 
     def test_job_manager_stats_keys(self):
         manager = JobManager(executor=SweepExecutor(workers=1))
-        assert tuple(manager.stats) == names.SERVE_STATS
+        assert tuple(manager.stats) == (
+            "requests",
+            "computed",
+            "response_hits",
+            "store_hits",
+            "coalesced",
+            "response_evictions",
+            "errors",
+        )
 
     def test_corpus_counts_keys(self):
         runner = CorpusRunner(
@@ -165,23 +166,15 @@ class TestCanonicalNames:
             variants=("MLPnc",),
             max_nnz=4_000,
         )
-        assert tuple(runner.counts) == names.CORPUS_STATS
+        assert tuple(runner.counts) == (
+            "corpus_groups",
+            "corpus_computed",
+            "corpus_skipped",
+            "corpus_failed",
+        )
 
     def test_cache_delta_keys(self):
-        assert tuple(AnalysisCache().counters()) == names.CACHE_DELTA_KEYS
-
-    def test_every_stat_key_has_a_metric_name(self):
-        all_keys = (
-            names.ENGINE_TOTAL_STATS + names.CORPUS_STATS + names.SERVE_STATS
-        )
-        assert set(names.STAT_METRICS) == set(all_keys)
-        for key in all_keys:
-            metric = names.stat_metric(key)
-            layer = key.split("_")[0] if key.startswith("corpus") else None
-            assert metric.startswith("repro_")
-            assert metric.endswith("_total")
-        # unknown driver tallies still get a stable fallback spelling
-        assert names.stat_metric("novel") == "repro_engine_novel_total"
+        assert tuple(AnalysisCache().counters()) == ("hits", "misses", "evictions")
 
 
 # -- span tracing --------------------------------------------------------
@@ -477,6 +470,26 @@ class TestServeSurface:
         client = ServeClient(self._url(server, ""))
         assert client.metrics() == text
 
+    def test_metrics_expose_every_stat_counter(self, server):
+        """One counter truth: every ``/stats`` counter of the job layers
+        and the engine, corpus tallies included, is a ``/metrics``
+        series with the same value, zeros included."""
+        self._post(server, "/sweep", SWEEP_REQ)
+        self._post(server, "/sweep", SWEEP_REQ)
+        server.manager.executor.add_stats(corpus_groups=1)
+
+        with urllib.request.urlopen(self._url(server, "/stats")) as response:
+            stats = json.loads(response.read().decode())
+        with urllib.request.urlopen(self._url(server, "/metrics")) as response:
+            lines = response.read().decode().splitlines()
+        expected = [f"repro_serve_{k}_total {v}" for k, v in stats["jobs"].items()]
+        for key, value in stats["engine"].items():
+            layer = "" if key.startswith("corpus_") else "engine_"
+            expected.append(f"repro_{layer}{key}_total {value}")
+        assert "repro_serve_store_hits_total 0" in expected
+        assert "repro_corpus_groups_total 1" in expected
+        assert [line for line in expected if line not in lines] == []
+
     def test_request_events_echo_the_trace_id(self):
         sink = obs.CollectingSink()
         trace.configure(sink)
@@ -505,10 +518,10 @@ class TestServeSurface:
         finally:
             manager.close()
         snapshot = obs.get_registry().snapshot()
-        (series,) = snapshot[names.SERVE_REQUEST_SECONDS]["series"]
+        (series,) = snapshot["repro_serve_request_seconds"]["series"]
         assert series["labels"] == {"source": "error"}
         assert series["count"] == 1
-        assert obs.get_registry().value("repro_serve_errors_total") == 1
+        assert manager.stats["errors"] == 1
 
 
 # -- warn-level logging --------------------------------------------------

@@ -42,21 +42,3 @@ def test_fifo_preserves_order_and_bounds(script):
         popped.append(fifo.pop())
     # FIFO order: what came out is a prefix-order copy of what went in.
     assert popped == pushed
-
-
-@given(
-    st.lists(st.integers(), min_size=0, max_size=50),
-    st.integers(min_value=1, max_value=10),
-)
-@settings(max_examples=100, deadline=None)
-def test_push_many_equivalent_to_pushes(items, capacity):
-    if len(items) > capacity:
-        items = items[:capacity]
-    a = Fifo(capacity, "a")
-    b = Fifo(capacity, "b")
-    a.push_many(items)
-    for item in items:
-        b.push(item)
-    a.commit()
-    b.commit()
-    assert list(a) == list(b)

@@ -17,7 +17,8 @@ def test_push_not_visible_until_commit():
 
 def test_fifo_order_preserved():
     fifo = Fifo(8, "t")
-    fifo.push_many([1, 2, 3])
+    for item in (1, 2, 3):
+        fifo.push(item)
     fifo.commit()
     assert drain(fifo) == [1, 2, 3]
 
@@ -63,13 +64,6 @@ def test_pop_empty_raises():
         Fifo(2, "t").pop()
 
 
-def test_push_many_overflow_rejected_atomically():
-    fifo = Fifo(2, "t")
-    with pytest.raises(ProtocolError):
-        fifo.push_many([1, 2, 3])
-    assert fifo.occupancy == 0
-
-
 def test_unbounded_fifo():
     fifo = Fifo(None, "t")
     for i in range(10_000):
@@ -93,7 +87,8 @@ def test_occupancy_and_len():
 
 def test_counters_and_max_occupancy():
     fifo = Fifo(4, "t")
-    fifo.push_many([1, 2, 3])
+    for item in (1, 2, 3):
+        fifo.push(item)
     fifo.commit()
     fifo.pop()
     assert fifo.total_pushed == 3
@@ -128,7 +123,8 @@ def test_max_occupancy_samples_staged_pushes():
     fifo = Fifo(8, "t")
     fifo.push(1)
     fifo.commit()
-    fifo.push_many([2, 3, 4])  # occupancy peaks at 1 committed + 3 staged
+    for item in (2, 3, 4):  # occupancy peaks at 1 committed + 3 staged
+        fifo.push(item)
     fifo.pop()
     fifo.commit()
     drain(fifo)

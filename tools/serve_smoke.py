@@ -6,8 +6,9 @@ the full client/server cache ladder with :class:`repro.serve.client.
 ServeClient`: the first quick-scale sweep computes on the server, a
 repeated ``submit`` is answered from the client's job-key memo with no
 round trip, and forcing the round trip (``reuse=False``) hits the
-server's response cache.  Finally sends SIGTERM and requires a clean
-exit (code 0).  This covers the pieces the in-process tests cannot:
+server's response cache.  ``/metrics`` must carry every ``/stats``
+counter of the job layers and the engine with the same value.
+Finally sends SIGTERM and requires a clean exit (code 0).  This covers the pieces the in-process tests cannot:
 the real subprocess lifecycle, the bound socket, and the signal
 handler — plus the shipped client against a real server.
 
@@ -96,6 +97,15 @@ def main() -> int:
             "repro_engine_workers 1",
         ):
             assert needle in exposition, f"{needle!r} missing from /metrics"
+
+        # One counter truth: /metrics reads the stat dicts /stats shows.
+        counters = [f"repro_serve_{k}_total {v}" for k, v in stats["jobs"].items()]
+        for key, value in stats["engine"].items():
+            layer = "" if key.startswith("corpus_") else "engine_"
+            counters.append(f"repro_{layer}{key}_total {value}")
+        lines = exposition.splitlines()
+        missing = [counter for counter in counters if counter not in lines]
+        assert not missing, f"/stats counters missing from /metrics: {missing}"
 
         server.send_signal(signal.SIGTERM)
         code = server.wait(timeout=SHUTDOWN_TIMEOUT_S)
