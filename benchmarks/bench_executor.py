@@ -84,28 +84,34 @@ def test_bench_stream_chunk_merge_overhead(benchmark):
     must stay within 3x of the unsharded fast path (it re-sorts each
     chunk instead of reusing the whole-stream analysis) and match it
     byte-for-byte.  Runs serially so the overhead is isolated from pool
-    scheduling."""
+    scheduling.  Every timed run uses a fresh executor, whose row memo
+    is empty, while the process ``AnalysisCache`` stays warm."""
     points = grid_points("adapter", ("af_shell10",), ("MLP256",), max_nnz=120_000)
-    serial_exec = SweepExecutor(workers=1, shards=1)
-    serial_rows = serial_exec.run(points)
+    serial_rows = SweepExecutor(workers=1, shards=1).run(points)
 
     t0 = time.perf_counter()
-    serial_exec.run(points)  # warm cache timing baseline
+    SweepExecutor(workers=1, shards=1).run(points)  # warm cache timing baseline
     serial_seconds = time.perf_counter() - t0
 
-    chunked_exec = SweepExecutor(workers=1, shards=8)
-    chunked_rows = benchmark.pedantic(
-        lambda: chunked_exec.run(points), rounds=3, iterations=1
-    )
+    chunk_tasks = []
+
+    def chunked():
+        executor = SweepExecutor(workers=1, shards=8)
+        rows = executor.run(points)
+        chunk_tasks.append(executor.last_stats["tasks"])
+        return rows
+
+    chunked_rows = benchmark.pedantic(chunked, rounds=3, iterations=1)
     chunked_seconds = benchmark.stats.stats.min
     assert chunked_rows == serial_rows
+    assert chunk_tasks == [8] * 3, f"chunk tasks per run: {chunk_tasks}"
 
     overhead = chunked_seconds / max(serial_seconds, 1e-9)
     record(
         benchmark,
         "executor_chunk_overhead",
         {
-            "rows": [{"shards": 8, "chunk_tasks": chunked_exec.last_stats["tasks"]}],
+            "rows": [{"shards": 8, "chunk_tasks": chunk_tasks[-1]}],
             "summary": {
                 "serial_warm_s": round(serial_seconds, 4),
                 "chunked_warm_s": round(chunked_seconds, 4),

@@ -8,8 +8,7 @@ the shared per-matrix work:
 * deriving the format-ordered index stream,
 * the stream's wide-block analysis (block ids + each request's
   previous occurrence of its block,
-  :class:`repro.axipack.fastmodel.StreamAnalysis`),
-* CSR layout statistics used for result-table annotation.
+  :class:`repro.axipack.fastmodel.StreamAnalysis`).
 
 The cache keys each artifact by the exact inputs that determine it, so
 a grid of V variants over M matrices does the heavy work M times, not
@@ -35,9 +34,9 @@ class AnalysisCache:
     """Memoised per-matrix artifacts, keyed by their defining inputs.
 
     Cache keys are exactly the inputs that determine each artifact —
-    ``(name, fmt, max_nnz)`` for streams and layout stats, plus
-    ``elements_per_block`` for the wide-block analysis — so no knob
-    change can ever serve a stale artifact.  Example::
+    ``(name, fmt, max_nnz)`` for streams, plus ``elements_per_block``
+    for the wide-block analysis — so no knob change can ever serve a
+    stale artifact.  Example::
 
         >>> cache = AnalysisCache()
         >>> stream = cache.stream("pwtk", "sell", 12_000)   # built once
@@ -55,15 +54,14 @@ class AnalysisCache:
         self.maxsize = maxsize
         self._streams: dict[tuple, np.ndarray] = {}
         self._analyses: dict[tuple, StreamAnalysis] = {}
-        self._layouts: dict[tuple, dict] = {}
         self._matrices: dict[tuple, CsrMatrix] = {}
-        #: lookup counters (every stream/analysis/layout_stats call is
-        #: one hit or one miss, and every insert into a full artifact
-        #: family is one eviction); the executor snapshots these around
-        #: each shard task and surfaces the totals in run stats and the
-        #: report manifest, so a long-lived server can watch cache
-        #: pressure build as the matrix working set outgrows
-        #: ``maxsize``.
+        #: lookup counters (every stream/analysis call and corpus-matrix
+        #: load is one hit or one miss, and every insert into a full
+        #: artifact family is one eviction); the executor snapshots
+        #: these around each shard task and surfaces the totals in run
+        #: stats and the report manifest, so a long-lived server can
+        #: watch cache pressure build as the matrix working set
+        #: outgrows ``maxsize``.
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -162,34 +160,3 @@ class AnalysisCache:
                 )
             self._put(self._analyses, key, value)
         return self._analyses[key]
-
-    def layout_stats(self, name: str, fmt: str, max_nnz: int) -> dict:
-        """CSR/SELL layout statistics for result-table annotation.
-
-        Returns a fresh dict per call (``nrows``/``ncols``/``nnz``/
-        ``avg_row``/``stream_len``), so callers may annotate and mutate
-        it without corrupting the cache.
-        """
-        key = (name, fmt, max_nnz)
-        if not self._count(self._layouts, key):
-            matrix = self.matrix(name, max_nnz)
-            stream = self.stream(name, fmt, max_nnz)
-            self._put(
-                self._layouts,
-                key,
-                {
-                    "nrows": matrix.nrows,
-                    "ncols": matrix.ncols,
-                    "nnz": matrix.nnz,
-                    "avg_row": round(matrix.avg_row_length, 2),
-                    "stream_len": int(stream.size),
-                },
-            )
-        return dict(self._layouts[key])
-
-    def clear(self) -> None:
-        """Drop every cached artifact (tests use this for isolation)."""
-        self._streams.clear()
-        self._analyses.clear()
-        self._layouts.clear()
-        self._matrices.clear()

@@ -35,6 +35,18 @@ and sharded execution return byte-identical tables
 this for every registered backend).  Completion *order* is the only
 thing scheduling may change, and nothing downstream observes it.
 
+Because a row depends only on its point, each executor also keeps a
+**row memo**: the finished rows of the last :data:`_ROW_MEMO_ROWS`
+distinct points it evaluated, keyed by
+:attr:`~repro.engine.points.SweepPoint.row_key`, oldest out first.  A
+point the memo holds is answered from it and never reaches a backend,
+so each distinct point is evaluated once over the executor's lifetime
+— ``report run`` reuses Fig. 3's rows for Fig. 4 and Fig. 5a's for
+Fig. 5b, and a server's executor reuses rows across requests whose
+grids overlap.  The memo lives on the instance, not in the
+process-wide :class:`AnalysisCache`: serial and pooled runs share it,
+and a fresh executor starts cold.
+
 Worker processes are started with the default (fork on Linux) start
 method; each worker keeps a module-level :class:`AnalysisCache` that
 persists across the tasks it serves, with shard/chunk identity baked
@@ -69,6 +81,12 @@ _PROCESS_CACHE = AnalysisCache()
 #: typically 1–3 orders of magnitude slower, so any large constant puts
 #: them first.
 _CYCLE_TASK_WEIGHT = 1000.0
+
+#: Bound on an executor's row memo, in rows (one row per distinct
+#: point); the oldest row leaves first.  A full-scale ``report run``
+#: has 345 distinct points.  Bounded by rows, not groups, since one
+#: request can put any number of variants into one group.
+_ROW_MEMO_ROWS = 4096
 
 
 def workers_from_env(default: int = 1) -> int:
@@ -202,7 +220,8 @@ class SweepExecutor:
     = one per worker, so a single-matrix sweep saturates the pool;
     default 1 = whole-group tasks, ``REPRO_SHARDS`` supplies the
     default).  Results are byte-identical for every (workers, shards)
-    combination.
+    combination.  Finished rows stay in the executor's bounded row
+    memo, so a later run evaluates only the points it has not seen.
 
     Example — the README's two-matrix adapter sweep::
 
@@ -223,11 +242,17 @@ class SweepExecutor:
             raise ExperimentError("SweepExecutor needs at least one worker")
         self.shards = resolve_shards(shards, self.workers)
         self._pool: ProcessPoolExecutor | None = None
+        #: row_key -> finished row, insertion-ordered for oldest-first
+        #: eviction.  Only run_stream touches it; the dicts in it are
+        #: never handed out.
+        self._rows: dict[tuple, dict] = {}
         #: run() statistics — per last call and accumulated totals.
+        #: ``row_hits`` counts the distinct points the memo answered.
         self.last_stats: dict[str, int] = {}
         self.stats = {
             "groups": 0,
             "tasks": 0,
+            "row_hits": 0,
             "cache_hits": 0,
             "cache_misses": 0,
             "cache_evictions": 0,
@@ -287,23 +312,51 @@ class SweepExecutor:
 
     # -- execution ---------------------------------------------------------
 
-    def _plan(
-        self, points: Sequence[SweepPoint]
-    ) -> tuple[dict[tuple, list[str]], list[ShardTask], dict[tuple, slice]]:
-        """Bucket points into groups and split each into shard tasks."""
+    def _plan(self, points: Sequence[SweepPoint]) -> tuple[
+        dict[tuple, tuple[str, ...]],
+        dict[tuple, tuple[str, ...]],
+        list[ShardTask],
+        dict[tuple, slice],
+    ]:
+        """Bucket points into groups and split the variants the row
+        memo lacks into shard tasks.
+
+        Returns every group's distinct variants, each computed group's
+        missing variants, the tasks, and each computed group's slice
+        of them.  A group the memo fully answers has no entry in the
+        last three.
+        """
         groups: dict[tuple, list[str]] = {}
         for point in points:
             variants = groups.setdefault(point.group_key, [])
             if point.variant not in variants:
                 variants.append(point.variant)
 
+        missing: dict[tuple, tuple[str, ...]] = {}
         tasks: list[ShardTask] = []
         group_slices: dict[tuple, slice] = {}
         for key, variants in groups.items():
-            split = get_backend(key[0]).split(key, tuple(variants), self.shards)
-            group_slices[key] = slice(len(tasks), len(tasks) + len(split))
-            tasks.extend(split)
-        return groups, tasks, group_slices
+            lacking = tuple(v for v in variants if (*key, v) not in self._rows)
+            if lacking:
+                split = get_backend(key[0]).split(key, lacking, self.shards)
+                missing[key] = lacking
+                group_slices[key] = slice(len(tasks), len(tasks) + len(split))
+                tasks.extend(split)
+        return (
+            {key: tuple(variants) for key, variants in groups.items()},
+            missing,
+            tasks,
+            group_slices,
+        )
+
+    def _remember(
+        self, key: tuple, variants: tuple[str, ...], rows: list[dict]
+    ) -> None:
+        """Store copies of one merged group's rows, oldest out first."""
+        for variant, row in zip(variants, rows):
+            self._rows[(*key, variant)] = dict(row)
+        while len(self._rows) > _ROW_MEMO_ROWS:
+            del self._rows[next(iter(self._rows))]
 
     def _pooled_outcomes(
         self, tasks: list[ShardTask]
@@ -351,27 +404,45 @@ class SweepExecutor:
         """Yield ``(group_key, variants, rows)`` as groups complete.
 
         The incremental form of :meth:`run`: each yielded triple is one
-        fully merged matrix group — its ``rows`` align with
-        ``variants`` and are exactly the rows a serial run would
-        produce for that group.  Groups arrive in *completion* order
-        (serial execution completes them in input order); callers that
-        need the full input-ordered table use :meth:`run`, streaming
-        consumers (:mod:`repro.serve`) forward each group as it lands.
+        whole matrix group — its ``rows`` align with ``variants`` (the
+        group's distinct variants, in first-seen order) and are
+        exactly the rows a serial run would produce for that group.
+        Groups the row memo fully answers come first, in input order;
+        computed groups follow in *completion* order (serial execution
+        completes them in input order), with any of their variants the
+        memo held filled in from it.  Callers that need the full
+        input-ordered table use :meth:`run`, streaming consumers
+        (:mod:`repro.serve`) forward each group as it lands.  Every
+        yielded row is a fresh dict, never the memo's own.
+
+        Each merged group's rows enter the memo (at most
+        :data:`_ROW_MEMO_ROWS` rows, oldest out first), so every
+        distinct point is evaluated once per executor, not once per
+        run.  The memo is not locked: concurrent streams on one
+        executor are the caller's to serialise, as
+        :class:`~repro.serve.jobs.JobManager` does.
 
         ``last_stats`` is finalised when the generator ends, also when
         its consumer stops early or a merge raises: it then counts the
-        tasks that completed and the groups that merged.
+        tasks that completed, the groups that merged and the memo rows
+        that were yielded (``row_hits``).
         """
-        groups, tasks, group_slices = self._plan(points)
+        groups, missing, tasks, group_slices = self._plan(points)
+        # The memo rows this run serves, held before any merge of the
+        # run can evict them.
+        remembered = {
+            (*key, v): self._rows[(*key, v)]
+            for key, variants in groups.items()
+            for v in variants
+            if v not in missing.get(key, ())
+        }
 
         outcomes: list[tuple[object, dict[str, int]] | None] = [None] * len(tasks)
-        slice_of_group = {key: group_slices[key] for key in groups}
         remaining = {
-            key: window.stop - window.start
-            for key, window in slice_of_group.items()
+            key: window.stop - window.start for key, window in group_slices.items()
         }
         task_group: list[tuple] = [()] * len(tasks)
-        for key, window in slice_of_group.items():
+        for key, window in group_slices.items():
             for index in range(window.start, window.stop):
                 task_group[index] = key
 
@@ -382,8 +453,13 @@ class SweepExecutor:
         else:
             completions = self._pooled_outcomes(tasks)
 
-        merged = 0
+        merged = row_hits = 0
         try:
+            for key, variants in groups.items():
+                if key not in missing:
+                    rows = [dict(remembered[(*key, v)]) for v in variants]
+                    row_hits += len(rows)
+                    yield key, variants, rows
             for index, outcome in completions:
                 payload, delta, spans, bins = outcome
                 if spans:
@@ -397,21 +473,29 @@ class SweepExecutor:
                 remaining[key] -= 1
                 if remaining[key]:
                     continue
-                window = slice_of_group[key]
-                variants = tuple(groups[key])
-                rows = get_backend(key[0]).merge(
+                window = group_slices[key]
+                computed = get_backend(key[0]).merge(
                     key,
-                    variants,
+                    missing[key],
                     tasks[window],
                     [payload for payload, _ in outcomes[window]],  # type: ignore[misc]
                 )
+                self._remember(key, missing[key], computed)
                 merged += 1
+                by_variant = dict(zip(missing[key], computed))
+                variants = groups[key]
+                rows = [
+                    by_variant[v] if v in by_variant else dict(remembered[(*key, v)])
+                    for v in variants
+                ]
+                row_hits += len(variants) - len(computed)
                 yield key, variants, rows
         finally:
             deltas = [outcome[1] for outcome in outcomes if outcome is not None]
             self.last_stats = {
                 "groups": merged,
                 "tasks": len(deltas),
+                "row_hits": row_hits,
                 "cache_hits": sum(delta["hits"] for delta in deltas),
                 "cache_misses": sum(delta["misses"] for delta in deltas),
                 "cache_evictions": sum(delta["evictions"] for delta in deltas),
@@ -423,17 +507,19 @@ class SweepExecutor:
         """Evaluate every point; one result row per point, input order.
 
         Fan-out semantics: points are bucketed by
-        :attr:`~repro.engine.points.SweepPoint.group_key` (duplicate
-        variants within a group are evaluated once), each group is
-        split by its backend into up to ``shards`` shard tasks, the
-        tasks run — serially in-process, or largest-first over the
-        persistent process pool when ``workers>1`` — and the backend
-        merges each group's shards back into rows.  Finished rows are
-        reassembled by
+        :attr:`~repro.engine.points.SweepPoint.group_key`; a point
+        this executor already evaluated (in this run or an earlier
+        one, while the row memo still holds it) is answered from the
+        memo, so each distinct point is evaluated once per executor.
+        The rest of each group is split by its backend into up to
+        ``shards`` shard tasks, the tasks run — serially in-process, or
+        largest-first over the persistent process pool when
+        ``workers>1`` — and the backend merges each group's shards back
+        into rows.  Finished rows are reassembled by
         :attr:`~repro.engine.points.SweepPoint.row_key` so the output
         table always matches the input order, including points that
         repeat the same cell.  Row dicts are per-point copies; mutating
-        one never aliases another.
+        one never aliases another or the memo.
         """
         by_key: dict[tuple, dict] = {}
         with obs_trace.span(

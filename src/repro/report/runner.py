@@ -177,6 +177,7 @@ def run_report(
             }
             print(
                 f"  {name}: {len(result['rows'])} rows, {delta['tasks']} tasks, "
+                f"{delta['row_hits']} reused, "
                 f"cache {delta['cache_hits']}/{delta['cache_misses']} hit/miss "
                 f"[{time.time() - t0:.1f}s]",
                 file=stream,
@@ -238,6 +239,7 @@ def run_report(
         f"wrote {store.root}/ ({len(names)} tables + claims + manifest) "
         f"and {doc_path} "
         f"[{time.time() - started:.1f}s; {executor.stats['tasks']} tasks, "
+        f"{executor.stats['row_hits']} reused, "
         f"cache {executor.stats['cache_hits']}/{executor.stats['cache_misses']} "
         f"hit/miss]",
         file=stream,

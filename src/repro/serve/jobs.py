@@ -16,8 +16,9 @@ the first of four layers that can answer it:
    in-flight job and shares its rows (``source="coalesced"``).
 4. **the engine** — everything else computes through the shared
    persistent :class:`~repro.engine.executor.SweepExecutor`
-   (``source="computed"``), whose pool and per-worker analysis caches
-   stay warm across jobs.
+   (``source="computed"``), whose pool, per-worker analysis caches and
+   row memo stay warm across jobs: a sweep that overlaps an earlier
+   one computes only the points the executor has not seen.
 
 :meth:`JobManager.stream` is the primitive: it yields protocol events
 (``accepted`` → zero or more ``rows`` chunks → ``done``), with sweep

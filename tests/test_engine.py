@@ -6,6 +6,7 @@ numbers:
 
 * result tables have a fixed schema and come back in input order;
 * per-matrix analysis is deduplicated behind the keyed cache;
+* each distinct point is evaluated once per executor (the row memo);
 * a process pool returns bit-identical tables to serial execution;
 * every refactored experiment runs end-to-end through an explicit
   executor.
@@ -139,11 +140,6 @@ class TestAnalysisCache:
         assert a1 is not cache.analysis("pwtk", "sell", TINY, 16)
         assert a1.blocks.size == s1.size
 
-    def test_layout_stats_schema(self):
-        stats = AnalysisCache().layout_stats("msc01440", "csr", TINY)
-        assert {"nrows", "ncols", "nnz", "avg_row", "stream_len"} <= set(stats)
-        assert stats["stream_len"] == stats["nnz"]  # CSR stream = col_idx
-
 
 class TestExperimentsThroughEngine:
     """Each refactored experiment, end-to-end, serial == pooled."""
@@ -193,30 +189,36 @@ class TestCacheBound:
 class TestPersistentPool:
     """The executor is a reusable resource: one pool across runs."""
 
-    def points(self):
-        return grid_points("adapter", ("msc01440",), ("MLPnc", "MLP64"), max_nnz=TINY)
+    def points(self, variants=("MLPnc", "MLP64")):
+        return grid_points("adapter", ("msc01440",), variants, max_nnz=TINY)
 
     def test_pool_survives_across_runs(self):
+        # The second run's points are new to the executor, so its tasks
+        # (not its row memo) answer them, on the same pool.
+        unseen = self.points(("MLP128", "MLP256"))
         executor = SweepExecutor(workers=2, shards=2)
         try:
-            first = executor.run(self.points())
+            executor.run(self.points())
             pool = executor._pool
             assert pool is not None
-            second = executor.run(self.points())
+            second = executor.run(unseen)
+            assert executor.last_stats["tasks"] == 2
             assert executor._pool is pool, "pool was respawned between runs"
             assert executor.stats["pool_spawns"] == 1
-            assert first == second
+            assert second == SweepExecutor(workers=1).run(unseen)
         finally:
             executor.close()
         assert executor._pool is None
 
     def test_close_is_idempotent_and_respawns_on_demand(self):
+        unseen = self.points(("MLP128", "MLP256"))
         executor = SweepExecutor(workers=2, shards=2)
-        first = executor.run(self.points())
+        executor.run(self.points())
         executor.close()
         executor.close()
-        # A closed executor is still usable; the next run respawns.
-        assert executor.run(self.points()) == first
+        # A closed executor is still usable; the next run that has
+        # tasks to run respawns the pool.
+        assert executor.run(unseen) == SweepExecutor(workers=1).run(unseen)
         assert executor.stats["pool_spawns"] == 2
         executor.close()
 
@@ -309,7 +311,102 @@ class TestPersistentPool:
         assert (first["groups"], first["tasks"]) == (1, 1)
         assert first["cache_misses"] > 0  # the cold cache was consulted
         assert {key: executor.stats[key] for key in first} == first
-        # a full run still counts every group and task
-        executor.run(points)
+        # a full run of points the executor has not seen still counts
+        # every group and task
+        executor.run(
+            grid_points(
+                "adapter", ("msc01440", "pwtk"), ("MLP128", "MLP256"), max_nnz=4_000
+            )
+        )
         assert (executor.last_stats["groups"], executor.last_stats["tasks"]) == (2, 2)
         assert (executor.stats["groups"], executor.stats["tasks"]) == (3, 3)
+
+
+class TestRowMemo:
+    """Each distinct point is evaluated once per executor."""
+
+    MATRICES = ("msc01440", "pwtk")
+
+    def grid(self, variants):
+        return grid_points("adapter", self.MATRICES, variants, max_nnz=TINY)
+
+    def test_rerun_is_answered_from_the_memo(self):
+        points = self.grid(("MLPnc", "MLP64"))
+        executor = SweepExecutor(workers=1)
+        first = executor.run(points)
+        assert executor.last_stats["row_hits"] == 0
+        assert executor.run(points) == first
+        stats = executor.last_stats
+        assert (stats["groups"], stats["tasks"]) == (0, 0)
+        assert stats["row_hits"] == len(points)
+        assert executor.stats["row_hits"] == len(points)
+
+    @pytest.mark.parametrize(
+        "workers,shards,chunks", [(1, 1, 1), (2, 4, 4)], ids=["serial", "sharded"]
+    )
+    def test_overlapping_grid_computes_only_new_variants(
+        self, workers, shards, chunks
+    ):
+        overlap = self.grid(("MLPnc", "MLP64", "MLP256"))
+        with SweepExecutor(workers=workers, shards=shards) as executor:
+            executor.run(self.grid(("MLPnc", "MLP64")))
+            rows = executor.run(overlap)
+            stats = dict(executor.last_stats)
+        # Per matrix only MLP256 reaches the backend; at shards=4 that
+        # one variant splits into four stream chunks.
+        assert stats["row_hits"] == 4
+        assert (stats["groups"], stats["tasks"]) == (2, 2 * chunks)
+        assert rows == SweepExecutor(workers=1).run(overlap)
+
+    def test_streamed_partial_group_carries_every_variant(self):
+        executor = SweepExecutor(workers=1)
+        executor.run(self.grid(("MLP64",)))
+        streamed = list(executor.run_stream(self.grid(("MLPnc", "MLP64"))))
+        assert [variants for _, variants, _ in streamed] == [("MLPnc", "MLP64")] * 2
+        for _, variants, rows in streamed:
+            assert [row["variant"] for row in rows] == list(variants)
+
+    def test_fully_answered_groups_stream_first(self):
+        executor = SweepExecutor(workers=1)
+        executor.run(grid_points("adapter", ("pwtk",), ("MLP64",), max_nnz=TINY))
+        streamed = list(executor.run_stream(self.grid(("MLP64",))))
+        assert [key[1] for key, _, _ in streamed] == ["pwtk", "msc01440"]
+
+    def test_mutating_returned_rows_never_reaches_the_memo(self):
+        points = self.grid(("MLPnc", "MLP64"))
+        executor = SweepExecutor(workers=1)
+        # computed rows, then memo rows, from both entry points
+        for mark in (-1, -2):
+            for _, _, rows in executor.run_stream(points):
+                for row in rows:
+                    row["cycles"] = mark
+        for row in executor.run(points):
+            row["cycles"] = -3
+        assert executor.run(points) == SweepExecutor(workers=1).run(points)
+        assert executor.last_stats["row_hits"] == len(points)
+
+    def test_bound_evicts_the_oldest_row(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "_ROW_MEMO_ROWS", 2)
+        executor = SweepExecutor(workers=1)
+        executor.run(grid_points(
+            "adapter", ("msc01440",), ("MLPnc", "MLP64", "MLP256"), max_nnz=TINY
+        ))
+        assert len(executor._rows) == 2
+        oldest = grid_points("adapter", ("msc01440",), ("MLPnc",), max_nnz=TINY)
+        executor.run(oldest)
+        assert (executor.last_stats["tasks"], executor.last_stats["row_hits"]) == (1, 0)
+        newest = grid_points("adapter", ("msc01440",), ("MLP256",), max_nnz=TINY)
+        executor.run(newest)
+        assert (executor.last_stats["tasks"], executor.last_stats["row_hits"]) == (0, 1)
+
+    def test_closed_stream_remembers_only_merged_groups(self):
+        points = self.grid(("MLPnc", "MLP64"))
+        executor = SweepExecutor(workers=1)
+        stream = executor.run_stream(points)
+        key, variants, _ = next(stream)
+        stream.close()
+        assert key[1] == "msc01440"
+        executor.run(points)
+        stats = executor.last_stats
+        assert stats["row_hits"] == len(variants)
+        assert (stats["groups"], stats["tasks"]) == (1, 1)

@@ -142,7 +142,10 @@ class TestCanonicalNames:
     pinned keys."""
 
     def test_executor_stats_keys(self):
-        run_keys = ("groups", "tasks", "cache_hits", "cache_misses", "cache_evictions")
+        run_keys = (
+            "groups", "tasks", "row_hits", "cache_hits", "cache_misses",
+            "cache_evictions",
+        )
         executor = SweepExecutor(workers=1)
         assert tuple(executor.stats) == run_keys + ("pool_spawns",)
         executor.run(grid_points("adapter", ("msc01440",), ("MLPnc",), max_nnz=TINY))

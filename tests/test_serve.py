@@ -11,6 +11,7 @@ rows served through the warm path are byte-identical to a serial
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import logging
 import os
@@ -305,6 +306,53 @@ class TestResponseCache:
     def test_rejects_zero_cache(self):
         with pytest.raises(ExperimentError):
             JobManager(executor=SweepExecutor(workers=1), cache_size=0)
+
+
+class TestEngineRowMemo:
+    """Distinct job keys still share rows one layer down: the
+    executor's row memo answers the points two sweeps both name."""
+
+    def test_overlapping_sweeps_reuse_engine_rows(self):
+        manager = serial_manager()
+        manager.submit({**SWEEP_REQ, "variants": ["MLPnc", "MLP64"]})
+        second = manager.submit({**SWEEP_REQ, "variants": ["MLP64", "MLP256"]})
+        assert second["source"] == "computed"
+        stats = manager.executor.last_stats
+        assert (stats["tasks"], stats["row_hits"]) == (1, 1)
+        points = grid_points("adapter", ("msc01440",), ("MLP64", "MLP256"), max_nnz=TINY)
+        assert second["rows"] == SweepExecutor(workers=1).run(points)
+
+    def test_concurrent_overlapping_sweeps_evaluate_each_point_once(self):
+        """The memo has no lock of its own; the engine lock serialises
+        every stream, so racing sweeps never evaluate a point twice."""
+        variants = ("MLPnc", "MLP16", "MLP64", "MLP256")
+        pairs = list(itertools.combinations(variants, 2))
+        manager = serial_manager()
+        results: dict[tuple, dict] = {}
+
+        def worker(pair: tuple) -> None:
+            results[pair] = manager.submit({**SWEEP_REQ, "variants": list(pair)})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(p,)) for p in pairs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == sorted(pairs)
+        requested = sum(len(pair) for pair in pairs)
+        assert manager.executor.stats["row_hits"] == requested - len(variants)
+        serial = SweepExecutor(workers=1).run(
+            grid_points("adapter", ("msc01440",), variants, max_nnz=TINY)
+        )
+        by_variant = {row["variant"]: row for row in serial}
+        for pair, result in results.items():
+            assert result["rows"] == [by_variant[v] for v in pair]
 
 
 class TestSingleFlight:
