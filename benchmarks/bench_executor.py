@@ -7,10 +7,6 @@ pool task — now saturates the worker pool.  The gate: with
 through the cycle-accurate adapter model must run **>= 2.5x** faster
 than the serial executor, while producing byte-identical rows.
 
-A second, gate-free case records the fast-model stream-sharding path
-(window-aligned chunk extraction + exact carry merge) so its overhead
-stays visible in the benchmark history.
-
 Skipped when the host has fewer than 4 cores — a parallel speedup
 cannot be demonstrated without parallel hardware.
 """
@@ -78,45 +74,3 @@ def test_bench_sharded_single_matrix_speedup(benchmark, monkeypatch):
     )
     assert speedup >= 2.5, f"only {speedup:.2f}x over the serial executor"
 
-
-def test_bench_stream_chunk_merge_overhead(benchmark):
-    """Fast-model stream sharding: chunk extraction + exact carry merge
-    must stay within 3x of the unsharded fast path (it re-sorts each
-    chunk instead of reusing the whole-stream analysis) and match it
-    byte-for-byte.  Runs serially so the overhead is isolated from pool
-    scheduling.  Every timed run uses a fresh executor, whose row memo
-    is empty, while the process ``AnalysisCache`` stays warm."""
-    points = grid_points("adapter", ("af_shell10",), ("MLP256",), max_nnz=120_000)
-    serial_rows = SweepExecutor(workers=1, shards=1).run(points)
-
-    t0 = time.perf_counter()
-    SweepExecutor(workers=1, shards=1).run(points)  # warm cache timing baseline
-    serial_seconds = time.perf_counter() - t0
-
-    chunk_tasks = []
-
-    def chunked():
-        executor = SweepExecutor(workers=1, shards=8)
-        rows = executor.run(points)
-        chunk_tasks.append(executor.last_stats["tasks"])
-        return rows
-
-    chunked_rows = benchmark.pedantic(chunked, rounds=3, iterations=1)
-    chunked_seconds = benchmark.stats.stats.min
-    assert chunked_rows == serial_rows
-    assert chunk_tasks == [8] * 3, f"chunk tasks per run: {chunk_tasks}"
-
-    overhead = chunked_seconds / max(serial_seconds, 1e-9)
-    record(
-        benchmark,
-        "executor_chunk_overhead",
-        {
-            "rows": [{"shards": 8, "chunk_tasks": chunk_tasks[-1]}],
-            "summary": {
-                "serial_warm_s": round(serial_seconds, 4),
-                "chunked_warm_s": round(chunked_seconds, 4),
-                "overhead_x": round(overhead, 2),
-            },
-        },
-    )
-    assert overhead <= 3.0, f"chunked path {overhead:.2f}x slower than serial"

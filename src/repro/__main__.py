@@ -25,8 +25,8 @@
 Experiment, sweep and report commands accept engine flags:
 
 ``--workers N``   fan the grid out over N worker processes
-``--shards S``    split each matrix group into S shard tasks
-                  (``auto`` = one per worker; intra-matrix sharding)
+``--shards S``    split each matrix group's variants into up to S
+                  shard tasks (``auto`` = one per worker)
 ``--nnz N``       per-matrix nonzero budget
 ``--model M``     adapter timing model, ``fast`` or ``cycle``
 ``--quick``       tiny canary run (3 small matrices, 12k nonzeros)

@@ -132,10 +132,7 @@ def previous_occurrence(blocks: np.ndarray) -> np.ndarray:
 
 
 def window_candidates(
-    blocks: np.ndarray,
-    window: int,
-    prev: np.ndarray | None = None,
-    base_window: int = 0,
+    blocks: np.ndarray, window: int, prev: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window warp candidates of a block stream, window-grouped.
 
@@ -145,14 +142,7 @@ def window_candidates(
     lies before the window's first request — and candidates are
     returned in stream (first-occurrence) order as ``(cand,
     cand_win)``: the block id and the window index of every candidate.
-
-    Because the predicate never looks outside the request's own window,
-    a stream chunked at *window-aligned* boundaries yields exactly the
-    concatenation of its chunks' candidates — the property the engine's
-    intra-matrix stream sharding relies on.  ``base_window`` offsets the
-    reported window indices for such a chunk (pass
-    ``chunk_start // window``).  ``prev``, if given, must be
-    ``previous_occurrence(blocks)`` for the same (chunk of the) stream.
+    ``prev``, if given, must be ``previous_occurrence(blocks)``.
     """
     if blocks.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -168,8 +158,6 @@ def window_candidates(
 
     cand = blocks[first_pos]  # warp candidates, window-grouped,
     cand_win = first_pos // window  # in first-occurrence order
-    if base_window:
-        cand_win = cand_win + base_window
     return cand, cand_win
 
 
@@ -179,10 +167,9 @@ def resolve_window_carry(
     """Collapse the carry-across-windows recurrence over candidates.
 
     The sequential half of :func:`coalesce_window_exact`, operating on
-    the output of :func:`window_candidates` (possibly concatenated from
-    window-aligned stream chunks — every window in ``[0, num_win)``
-    must be populated, which holds for any contiguous stream).  Returns
-    ``(total_wide_accesses, warp_tags)``.
+    the output of :func:`window_candidates` (every window in ``[0,
+    num_win)`` must be populated, which holds for any contiguous
+    stream).  Returns ``(total_wide_accesses, warp_tags)``.
     """
     if cand.size == 0:
         return 0, np.empty(0, dtype=np.int64)
@@ -247,14 +234,13 @@ def coalesce_window_exact(
     Fully vectorized; bit-exact against the retained per-window oracle
     :func:`repro.axipack.reference.coalesce_window_reference` (the
     property-based differential suite enforces this).  The work splits
-    into two halves, exposed separately so the engine can shard a
-    stream across workers and merge exactly:
+    into two halves:
 
-    * :func:`window_candidates` — the window-local (and therefore
-      chunkable) candidate extraction, one comparison per request
-      against the cached :func:`previous_occurrence` array: an element
-      opens a warp iff its block's previous occurrence falls before
-      its window's first request;
+    * :func:`window_candidates` — the window-local candidate
+      extraction, one comparison per request against the cached
+      :func:`previous_occurrence` array: an element opens a warp iff
+      its block's previous occurrence falls before its window's first
+      request;
     * :func:`resolve_window_carry` — the sequential
       carry-across-windows dependence, collapsed analytically.  With
       ``K[t]`` the carry tag entering window ``t``, ``C[t]`` the
@@ -347,10 +333,8 @@ def fast_metrics_from_tags(
 
     The back half of :func:`fast_indirect_stream`: given the wide
     element transaction count and the warp-tag issue stream (from
-    :func:`coalesce_window_exact`, or merged from window-aligned chunks
-    via :func:`resolve_window_carry`), derive the cycle count and
-    metrics.  The engine's stream-sharding merge calls this directly so
-    sharded and serial sweeps share one timing code path byte-for-byte.
+    :func:`coalesce_window_exact`, or every request's block for the
+    coalescer-less variant), derive the cycle count and metrics.
     """
     dram = dram_config or DramConfig()
     idx_txns = ceil_div(count * config.index_bytes, dram.access_bytes)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import AdapterConfig, DramConfig
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..mem.backing_store import BackingStore
 from ..mem.dram import DramChannel
 from ..mem.reorder import ReorderBuffer
@@ -58,6 +58,13 @@ class StridedBurst:
             raise ValueError("burst element count must be positive")
         if self.stride_bytes < self.element_bytes:
             raise ValueError("stride must cover the element size")
+        # Both models compute addresses in int64; past it they would wrap.
+        last = self.address_of(self.count - 1)
+        if max(self.stride_bytes, last) > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"strided burst (base {self.base}, {self.count} elements, "
+                f"stride {self.stride_bytes} B) addresses past int64"
+            )
 
     def address_of(self, j: int) -> int:
         return self.base + j * self.stride_bytes

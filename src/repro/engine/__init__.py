@@ -8,15 +8,14 @@ and the stream's block-id analysis.  This package factors that into
 * :mod:`repro.engine.points` — :class:`SweepPoint`, one grid cell,
 * :mod:`repro.engine.backends` — the sweep backend protocol and
   registry: one :class:`SweepBackend` per point kind declares the
-  names it accepts, how to evaluate a matrix group, split it into
-  shard tasks, and merge shard results deterministically;
+  names it accepts and how to evaluate a matrix group; the base class
+  splits a group's variants into shard tasks and merges their rows;
   :func:`grid_points` builds every kind's grid,
-* :mod:`repro.engine.cache` — the keyed per-matrix analysis cache
-  (shard/chunk identity is part of every key),
+* :mod:`repro.engine.cache` — the keyed per-matrix analysis cache,
 * :mod:`repro.engine.executor` — :class:`SweepExecutor`, which groups
-  points per matrix, shards groups through their backends, optionally
-  fans shard tasks out over a ``concurrent.futures`` process pool, and
-  returns a tidy result table (one dict per point, input order).
+  points per matrix, splits each group's variants into shard tasks,
+  optionally fans them out over a ``concurrent.futures`` process pool,
+  and returns a tidy result table (one dict per point, input order).
 
 Every experiment runner and benchmark goes through this engine, and
 :mod:`repro.report` persists the resulting tables.  Quick tour::

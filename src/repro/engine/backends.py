@@ -2,13 +2,12 @@
 
 A *backend* owns one :attr:`SweepPoint.kind`: it declares which
 matrix and variant names it accepts (the base class builds every
-kind's grid from them, :func:`grid_points`), how to evaluate every
-variant of one matrix group, how to **split** a group into shard tasks
-that fan out across the process pool, and how to **merge** shard
-results back into the exact rows a serial run would produce.  The executor
-(:mod:`repro.engine.executor`) is kind-agnostic — it buckets points,
-asks the registered backend to split each bucket, schedules the shard
-tasks, and hands the results back to the backend to merge.
+kind's grid from them, :func:`grid_points`) and how to evaluate every
+variant of one matrix group (:meth:`SweepBackend.run_group`).  The
+executor (:mod:`repro.engine.executor`) is kind-agnostic — it buckets
+points, has the base class split each bucket's variants into shard
+tasks, schedules them, and hands the results back to the base class to
+merge.
 
 Built-in backends:
 
@@ -25,21 +24,13 @@ kind                      evaluates
 ``strided``               an AXI-Pack strided burst at one stride
 ========================  ==================================================
 
-Sharding contract: for any registered backend, any shard count, and any
-worker count, ``merge(split(...))`` must reproduce the serial result
-table **byte-for-byte** (``tests/test_engine_backends.py`` property-
-tests this for every registered kind).  Two sharding axes exist:
-
-* *variant sharding* (every backend, via the base class): a group's
-  variant list splits into contiguous chunks, one shard task each;
-* *stream sharding* (``adapter`` and ``multichannel``, fast model): a
-  single variant's index stream splits at window-aligned boundaries;
-  each shard extracts its chunk's window-local warp candidates
-  (:func:`repro.axipack.fastmodel.window_candidates`) and the merge
-  resolves the carry chain over the concatenated candidates
-  (:func:`~repro.axipack.fastmodel.resolve_window_carry`) — exactly
-  the computation the serial path performs, so the merged metrics are
-  bit-identical.
+Sharding contract: a shard task is a contiguous chunk of one group's
+variants, never a piece of a variant's stream, so every row is computed
+whole by :meth:`SweepBackend.run_group`.  For any registered backend,
+any shard count and any worker count, ``merge(split(...))`` reproduces
+the serial result table **byte-for-byte**
+(``tests/test_engine_backends.py`` property-tests this for every
+registered kind).
 """
 
 from __future__ import annotations
@@ -49,17 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..axipack import fast_indirect_stream, run_indirect_stream
-from ..axipack.fastmodel import (
-    fast_metrics_from_tags,
-    resolve_window_carry,
-    window_candidates,
-)
 from ..axipack.metrics import AdapterMetrics
 from ..config import AdapterConfig, DramConfig, variant_config
 from ..errors import ConfigError, ExperimentError
 from ..sparse.corpus import is_corpus_name
 from ..sparse.suite import DEFAULT_MAX_NNZ, get_spec
-from ..units import ceil_div
 from .cache import AnalysisCache
 from .points import (
     ADAPTER_KIND,
@@ -73,29 +58,21 @@ from .points import (
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One schedulable unit of a sweep group.
-
-    ``chunk is None`` → evaluate ``variants`` over the whole matrix
-    (variant sharding); ``chunk == (i, k)`` → evaluate the single
-    variant in ``variants`` over stream chunk ``i`` of ``k`` (stream
-    sharding), returning a mergeable partial payload instead of rows.
-    """
+    """One schedulable unit of a sweep group: evaluate ``variants`` (a
+    contiguous chunk of the group's variants) over the whole matrix."""
 
     group_key: tuple
     variants: tuple[str, ...]
-    chunk: tuple[int, int] | None = None
 
 
 class SweepBackend:
     """Protocol base for sweep backends (one per ``SweepPoint.kind``).
 
-    Subclasses set :attr:`kind`, implement :meth:`run_group` and
-    :meth:`check_variant`, and may override :meth:`split` /
-    :meth:`run_shard` / :meth:`merge` to shard below variant
-    granularity.  The base implementation shards the variant list into
-    contiguous chunks and merges by reassembling rows per variant —
-    correct for any backend whose rows are independent across variants
-    (all of the built-ins).
+    Subclasses set :attr:`kind` and implement :meth:`run_group` and
+    :meth:`check_variant`.  The base class splits a group's variant
+    list into contiguous chunks (:meth:`split`) and merges by
+    reassembling rows per variant (:meth:`merge`) — correct because a
+    row depends only on its own variant.
     """
 
     kind: str = ""
@@ -175,7 +152,9 @@ class SweepBackend:
     def split(
         self, group_key: tuple, variants: tuple[str, ...], shards: int
     ) -> list[ShardTask]:
-        """Split one group into at most ``shards`` shard tasks."""
+        """Split one group's variants into at most ``shards`` contiguous
+        chunks, one shard task each (one per variant when ``shards``
+        exceeds the variant count)."""
         pieces = max(1, min(shards, len(variants)))
         if pieces == 1:
             return [ShardTask(group_key, tuple(variants))]
@@ -186,30 +165,17 @@ class SweepBackend:
             if hi > lo
         ]
 
-    def run_shard(self, task: ShardTask, cache: AnalysisCache):
-        """Evaluate one shard task (in a worker process)."""
-        if task.chunk is not None:
-            raise ExperimentError(
-                f"backend {self.kind!r} does not support stream chunking"
-            )
-        return self.run_group(task.group_key, task.variants, cache)
-
     def merge(
         self,
         group_key: tuple,
         variants: tuple[str, ...],
         tasks: list[ShardTask],
-        payloads: list,
+        payloads: list[list[dict]],
     ) -> list[dict]:
-        """Reassemble shard payloads into rows, one per ``variants``
-        entry in order.  Must reproduce :meth:`run_group` byte-for-
-        byte for every shard configuration."""
+        """Reassemble the shard tasks' :meth:`run_group` rows, one per
+        ``variants`` entry in order — the rows a serial run produces."""
         by_variant: dict[str, dict] = {}
         for task, rows in zip(tasks, payloads):
-            if task.chunk is not None:
-                raise ExperimentError(
-                    f"backend {self.kind!r} cannot merge chunked payloads"
-                )
             for variant, row in zip(task.variants, rows):
                 by_variant[variant] = row
         return [by_variant[variant] for variant in variants]
@@ -273,13 +239,9 @@ def index_stream_kinds() -> tuple[str, ...]:
 
 
 class AdapterBackend(SweepBackend):
-    """Fast-/cycle-model adapter sweeps with two-axis sharding.
-
-    Variant sharding always applies; when the shard budget exceeds the
-    variant count and the model is ``fast``, each variant's stream
-    additionally splits into window-aligned chunks whose warp
-    candidates are merged exactly (see the module docstring).
-    """
+    """Fast-/cycle-model adapter sweeps: one variant's whole index
+    stream per row, every variant of a group sharing the cached stream
+    and its analysis."""
 
     kind = ADAPTER_KIND
     display_columns = (
@@ -344,110 +306,14 @@ class AdapterBackend(SweepBackend):
             rows.append(self.row(group_key, variant, metrics, dram))
         return rows
 
-    def split(
-        self, group_key: tuple, variants: tuple[str, ...], shards: int
-    ) -> list[ShardTask]:
-        model = group_key[4]
-        chunks = shards // max(1, len(variants))
-        if model != "fast" or chunks < 2:
-            return super().split(group_key, variants, shards)
-        # Shard budget exceeds the variant count: one task per
-        # (variant, stream chunk).  Chunk bounds are resolved in the
-        # worker (they depend on the variant's window and the stream
-        # length); the merge re-runs the exact serial carry resolution.
-        return [
-            ShardTask(group_key, (variant,), chunk=(index, chunks))
-            for variant in variants
-            for index in range(chunks)
-        ]
-
-    def _chunk_bounds(
-        self, count: int, window: int | None, chunk: tuple[int, int]
-    ) -> tuple[int, int]:
-        """Element bounds of stream chunk ``i`` of ``k``: equal window
-        spans for coalescing variants (alignment is what makes the
-        candidate extraction chunk-local), equal element spans for the
-        coalescer-less ``MLPnc``."""
-        index, pieces = chunk
-        if window:
-            num_win = (count - 1) // window + 1
-            span = ceil_div(num_win, pieces) * window
-        else:
-            span = ceil_div(count, pieces)
-        return min(index * span, count), min((index + 1) * span, count)
-
-    def run_shard(self, task: ShardTask, cache: AnalysisCache):
-        if task.chunk is None:
-            return self.run_group(task.group_key, task.variants, cache)
-        kind, matrix, fmt, max_nnz, model = task.group_key
-        (variant,) = task.variants
-        dram = DramConfig()
-        config, _ = self.variant_setup(variant)
-        window = config.coalescer.window if config.has_coalescer else None
-        count = int(cache.stream(matrix, fmt, max_nnz).size)
-        start, stop = self._chunk_bounds(count, window, task.chunk)
-        if start >= stop:
-            empty = np.empty(0, dtype=np.int64)
-            return {"count": 0, "cand": empty, "cand_win": empty}
-        analysis = cache.analysis(
-            matrix, fmt, max_nnz,
-            dram.access_bytes // config.element_bytes, chunk=(start, stop),
-        )
-        if window is None:  # MLPnc: every request is its own wide access
-            return {"count": stop - start, "tags": analysis.blocks}
-        cand, cand_win = window_candidates(
-            analysis.blocks, window, analysis.prev, base_window=start // window
-        )
-        return {"count": stop - start, "cand": cand, "cand_win": cand_win}
-
-    def merge(
-        self,
-        group_key: tuple,
-        variants: tuple[str, ...],
-        tasks: list[ShardTask],
-        payloads: list,
-    ) -> list[dict]:
-        dram = DramConfig()
-        by_variant: dict[str, dict] = {}
-        chunked: dict[str, list[tuple[int, dict]]] = {}
-        for task, payload in zip(tasks, payloads):
-            if task.chunk is None:
-                for variant, row in zip(task.variants, payload):
-                    by_variant[variant] = row
-            else:
-                chunked.setdefault(task.variants[0], []).append(
-                    (task.chunk[0], payload)
-                )
-        for variant, parts in chunked.items():
-            parts.sort(key=lambda item: item[0])
-            pieces = [payload for _, payload in parts]
-            config, channels = self.variant_setup(variant)
-            count = sum(p["count"] for p in pieces)
-            if config.has_coalescer:
-                assert config.coalescer is not None
-                window = config.coalescer.window
-                cand = np.concatenate([p["cand"] for p in pieces])
-                cand_win = np.concatenate([p["cand_win"] for p in pieces])
-                elem_txns, tags = resolve_window_carry(
-                    cand, cand_win, (count - 1) // window + 1
-                )
-            else:
-                tags = np.concatenate([p["tags"] for p in pieces if p["count"]])
-                elem_txns = count
-            metrics = fast_metrics_from_tags(
-                count, elem_txns, tags, config, dram, variant, channels
-            )
-            by_variant[variant] = self.row(group_key, variant, metrics, dram)
-        return [by_variant[variant] for variant in variants]
-
 
 class MultiChannelBackend(AdapterBackend):
     """Multi-channel DRAM sweeps: the MLP256 adapter in front of an
     N-channel block-interleaved HBM (``variant`` = ``"ch<N>"``).
 
-    The adapter backend, sharding included, run at the variant's
-    channel count: ``model="fast"`` prices one bank-state timeline per
-    channel, ``model="cycle"`` wires the cycle adapter to a
+    The adapter backend run at the variant's channel count:
+    ``model="fast"`` prices one bank-state timeline per channel,
+    ``model="cycle"`` wires the cycle adapter to a
     :class:`~repro.mem.multichannel.MultiChannelMemory`.  Only the
     variant interpretation and the row schema differ.
     """
@@ -466,6 +332,10 @@ class MultiChannelBackend(AdapterBackend):
         channels = int(variant[2:])
         if channels < 1:
             raise ExperimentError("channel count must be >= 1")
+        if channels > np.iinfo(np.int64).max:
+            raise ExperimentError(
+                f"channel count of {variant[:40]!r} does not fit in int64"
+            )
         return variant_config("MLP256"), channels
 
     def row(self, group_key, variant, metrics, dram) -> dict:
@@ -496,8 +366,7 @@ class MultiChannelBackend(AdapterBackend):
 
 
 class SystemBackend(SweepBackend):
-    """End-to-end SpMV systems (Figs. 5a/5b/6b); variant sharding only
-    (each system run is a monolithic simulation)."""
+    """End-to-end SpMV systems (Figs. 5a/5b/6b)."""
 
     kind = SYSTEM_KIND
     index_stream = False

@@ -105,38 +105,21 @@ class AnalysisCache:
             return self._matrices[key]
         return get_matrix(name, max_nnz)
 
-    def stream(
-        self,
-        name: str,
-        fmt: str,
-        max_nnz: int,
-        chunk: tuple[int, int] | None = None,
-    ) -> np.ndarray:
+    def stream(self, name: str, fmt: str, max_nnz: int) -> np.ndarray:
         """The format-ordered column-index stream for one matrix.
 
         ``fmt`` selects the traversal order (``"sell"`` or ``"csr"``);
         the returned array is the cached instance, so treat it as
-        read-only.  ``chunk=(start, stop)`` names one contiguous slice
-        of the stream — a *distinct* cache entry keyed by the chunk
-        bounds, so a sharded run can never be served the whole-matrix
-        artifact in place of a chunk (or vice versa).
+        read-only.
         """
-        key = (name, fmt, max_nnz, chunk)
+        key = (name, fmt, max_nnz)
         if not self._count(self._streams, key):
-            if chunk is None:
-                value = matrix_index_stream(self.matrix(name, max_nnz), fmt)
-            else:
-                value = self.stream(name, fmt, max_nnz)[chunk[0] : chunk[1]]
+            value = matrix_index_stream(self.matrix(name, max_nnz), fmt)
             self._put(self._streams, key, value)
         return self._streams[key]
 
     def analysis(
-        self,
-        name: str,
-        fmt: str,
-        max_nnz: int,
-        elements_per_block: int,
-        chunk: tuple[int, int] | None = None,
+        self, name: str, fmt: str, max_nnz: int, elements_per_block: int
     ) -> StreamAnalysis:
         """Block ids + previous occurrences, shared across window sizes.
 
@@ -145,18 +128,13 @@ class AnalysisCache:
         size of one variant family shares the same analysis, so each
         ``coalesce_window_exact`` call is left with linear passes and
         no sort (``benchmarks/bench_coalescer.py`` measures the fig4
-        window sweep against the reference loop).  As with
-        :meth:`stream`, ``chunk`` bounds are part of the key: the
-        analysis of a stream chunk is never conflated with the
-        whole-stream analysis.
+        window sweep against the reference loop).
         """
-        key = (name, fmt, max_nnz, elements_per_block, chunk)
+        key = (name, fmt, max_nnz, elements_per_block)
         if not self._count(self._analyses, key):
-            with obs_trace.span(
-                "cache.analysis", matrix=name, fmt=fmt, chunk=str(chunk)
-            ):
+            with obs_trace.span("cache.analysis", matrix=name, fmt=fmt):
                 value = analyze_stream(
-                    self.stream(name, fmt, max_nnz, chunk), elements_per_block
+                    self.stream(name, fmt, max_nnz), elements_per_block
                 )
             self._put(self._analyses, key, value)
         return self._analyses[key]

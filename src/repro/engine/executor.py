@@ -2,13 +2,12 @@
 
 :class:`SweepExecutor` turns a list of :class:`~repro.engine.points.
 SweepPoint` into a tidy result table (one dict per point, in input
-order).  Points are grouped by :attr:`SweepPoint.group_key`, each group
-is handed to its registered backend (:mod:`repro.engine.backends`) to
-**split** into shard tasks — variant chunks, and for fast-model
-adapter kinds window-aligned stream chunks — and the shard tasks run
-either serially in-process or across a
+order).  Points are grouped by :attr:`SweepPoint.group_key`, each
+group's variants are **split** into shard tasks — contiguous variant
+chunks, one :meth:`~repro.engine.backends.SweepBackend.run_group` call
+each — and the shard tasks run either serially in-process or across a
 ``concurrent.futures.ProcessPoolExecutor``.  Finished shards are
-**merged** by the backend and reassembled in point order.
+**merged** back into the group's rows and reassembled in point order.
 
 The pool is a *persistent* resource: it is spawned lazily on the first
 pooled :meth:`SweepExecutor.run` and reused by every later run of the
@@ -19,21 +18,22 @@ requests.  :meth:`SweepExecutor.close` (or using the executor as a
 context manager) releases the pool; a pool that dies mid-run
 (``BrokenProcessPool``) is respawned once and the lost tasks rerun, so
 the historical per-``run()`` respawn survives only as that fallback.
+A run with a single task stays in-process and never spawns the pool.
 
-Shard tasks are dispatched largest-first over ``submit`` /
-``as_completed`` (heaviest model × scale × span first), which cuts the
-straggler tail when shard tasks are uneven — a cycle-model group no
-longer waits at the end of an ordered ``pool.map`` behind a queue of
-trivial fast-model shards.
+Shard tasks are submitted largest-first and collected with
+``wait(FIRST_COMPLETED)`` (heaviest model × scale × variant count
+first), which cuts the straggler tail when shard tasks are uneven — a
+cycle-model group no longer waits at the end of an ordered
+``pool.map`` behind a queue of trivial fast-model shards.
 
 Determinism: the result table depends only on the input points — the
-per-shard work is pure (seeded generators, analytic models), the merge
-re-runs the exact serial carry/metric computation on the shard
-payloads, and rows are reassembled in point order, so serial, pooled,
-and sharded execution return byte-identical tables
-(``tests/test_engine.py`` and ``tests/test_engine_backends.py`` pin
-this for every registered backend).  Completion *order* is the only
-thing scheduling may change, and nothing downstream observes it.
+per-shard work is pure (seeded generators, analytic models), every row
+is computed whole by its backend's ``run_group``, and rows are
+reassembled in point order, so serial, pooled, and sharded execution
+return byte-identical tables (``tests/test_engine.py`` and
+``tests/test_engine_backends.py`` pin this for every registered
+backend).  Completion *order* is the only thing scheduling may change,
+and nothing downstream observes it.
 
 Because a row depends only on its point, each executor also keeps a
 **row memo**: the finished rows of the last :data:`_ROW_MEMO_ROWS`
@@ -49,8 +49,7 @@ and a fresh executor starts cold.
 
 Worker processes are started with the default (fork on Linux) start
 method; each worker keeps a module-level :class:`AnalysisCache` that
-persists across the tasks it serves, with shard/chunk identity baked
-into every cache key.
+persists across the tasks it serves.
 """
 
 from __future__ import annotations
@@ -161,51 +160,43 @@ def _init_worker(config: dict) -> None:
 
 def _run_shard_task(
     task: ShardTask,
-) -> tuple[object, dict[str, int], list[dict], dict]:
-    """One pool task: evaluate a shard through its backend.
+) -> tuple[list[dict], dict[str, int], list[dict], dict]:
+    """One pool task: evaluate a shard's variants through its backend.
 
-    Returns the backend payload, the cache hit/miss/eviction delta this
+    Returns the shard's rows, the cache hit/miss/eviction delta this
     task incurred, and — in pool workers with telemetry on — the spans
     and profiler bins buffered during the task.  Workers own private
-    caches/tracers/profilers, so all three travel back with the payload
+    caches/tracers/profilers, so all three travel back with the rows
     for the executor to aggregate; in-process (serial) runs feed the
     global tracer/profiler directly and ship empties.
     """
     backend = get_backend(task.group_key[0])
     before = _PROCESS_CACHE.counters()
     with obs_trace.span(
-        "engine.shard",
-        backend=task.group_key[0],
-        variants=len(task.variants),
-        chunk=str(task.chunk),
+        "engine.shard", backend=task.group_key[0], variants=len(task.variants)
     ):
-        payload = backend.run_shard(task, _PROCESS_CACHE)
+        rows = backend.run_group(task.group_key, task.variants, _PROCESS_CACHE)
     after = _PROCESS_CACHE.counters()
     delta = {key: after[key] - before[key] for key in after}
     spans, bins = obs.drain_worker_telemetry()
-    return payload, delta, spans, bins
+    return rows, delta, spans, bins
 
 
 def _task_weight(task: ShardTask) -> float:
     """Dispatch weight of one shard task (bigger = scheduled earlier).
 
     A deterministic cost *estimate*, never a correctness input: scale
-    (the group's ``max_nnz`` slot) × the task's span of it (variant
-    count, or ``1/pieces`` of one variant for a stream chunk), with
+    (the group's ``max_nnz`` slot) × the task's variant count, with
     cycle-model tasks boosted by :data:`_CYCLE_TASK_WEIGHT` since a
     cycle simulation dwarfs any fast-model evaluation of the same
     stream.
     """
     key = task.group_key
     scale = float(key[3]) if len(key) > 3 and isinstance(key[3], int) else 1.0
-    if task.chunk is not None:
-        span = 1.0 / max(1, task.chunk[1])
-    else:
-        span = float(max(1, len(task.variants)))
     model_boost = (
         _CYCLE_TASK_WEIGHT if len(key) > 4 and key[4] == "cycle" else 1.0
     )
-    return scale * span * model_boost
+    return scale * max(1, len(task.variants)) * model_boost
 
 
 class SweepExecutor:
@@ -216,10 +207,11 @@ class SweepExecutor:
     process pool that is spawned lazily on the first pooled run and
     then **reused** by every subsequent :meth:`run` until
     :meth:`close` (the executor is also a context manager).  ``shards``
-    sets how many shard tasks each matrix group splits into (``"auto"``
-    = one per worker, so a single-matrix sweep saturates the pool;
-    default 1 = whole-group tasks, ``REPRO_SHARDS`` supplies the
-    default).  Results are byte-identical for every (workers, shards)
+    sets how many contiguous variant chunks each matrix group splits
+    into, at most one per variant (``"auto"`` = one per worker, so a
+    single-matrix sweep of several variants fills the pool; default 1 =
+    whole-group tasks, ``REPRO_SHARDS`` supplies the default).
+    Results are byte-identical for every (workers, shards)
     combination.  Finished rows stay in the executor's bounded row
     memo, so a later run evaluates only the points it has not seen.
 
@@ -511,11 +503,12 @@ class SweepExecutor:
         this executor already evaluated (in this run or an earlier
         one, while the row memo still holds it) is answered from the
         memo, so each distinct point is evaluated once per executor.
-        The rest of each group is split by its backend into up to
-        ``shards`` shard tasks, the tasks run — serially in-process, or
-        largest-first over the persistent process pool when
-        ``workers>1`` — and the backend merges each group's shards back
-        into rows.  Finished rows are reassembled by
+        The rest of each group's variants split into up to ``shards``
+        contiguous chunks, one shard task each; the tasks run —
+        serially in-process, or largest-first over the persistent
+        process pool when ``workers>1`` and there is more than one
+        task — and each group's shard rows merge back in variant
+        order.  Finished rows are reassembled by
         :attr:`~repro.engine.points.SweepPoint.row_key` so the output
         table always matches the input order, including points that
         repeat the same cell.  Row dicts are per-point copies; mutating

@@ -9,6 +9,8 @@ from repro.axipack.strided import (
     run_strided_stream,
 )
 from repro.config import mlp_config, nocoalescer_config, seq_config
+from repro.engine import SweepExecutor, grid_points
+from repro.errors import ReproError
 
 
 class TestBurstDescriptor:
@@ -21,6 +23,21 @@ class TestBurstDescriptor:
             StridedBurst(base=0, count=0, stride_bytes=8)
         with pytest.raises(ValueError):
             StridedBurst(base=0, count=4, stride_bytes=4)  # < element
+
+    def test_addresses_past_int64_rejected(self):
+        # 999 * 2**62 wraps in int64, and the wrapped addresses would
+        # count 13 wide accesses for 1,000 elements in 1,000 blocks.
+        with pytest.raises(ReproError, match="int64"):
+            StridedBurst(base=0, count=1000, stride_bytes=2**62)
+        with pytest.raises(ReproError, match="int64"):
+            StridedBurst(base=0, count=1, stride_bytes=2**63)
+        burst = StridedBurst(base=0, count=2, stride_bytes=2**62)  # fits
+        assert fast_strided_stream(burst, mlp_config(64)).elem_txns == 2
+
+    def test_overflowing_sweep_is_an_error_not_a_row(self):
+        points = grid_points("strided", ("linear",), (f"s{2**62}",), max_nnz=1000)
+        with pytest.raises(ReproError, match="int64"):
+            SweepExecutor(workers=1).run(points)
 
 
 class TestCycleModel:

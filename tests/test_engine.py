@@ -342,20 +342,20 @@ class TestRowMemo:
         assert executor.stats["row_hits"] == len(points)
 
     @pytest.mark.parametrize(
-        "workers,shards,chunks", [(1, 1, 1), (2, 4, 4)], ids=["serial", "sharded"]
+        "workers,shards,tasks", [(1, 1, 1), (2, 4, 4)], ids=["serial", "sharded"]
     )
     def test_overlapping_grid_computes_only_new_variants(
-        self, workers, shards, chunks
+        self, workers, shards, tasks
     ):
-        overlap = self.grid(("MLPnc", "MLP64", "MLP256"))
+        overlap = self.grid(("MLPnc", "MLP8", "MLP16", "MLP64", "MLP128", "MLP256"))
         with SweepExecutor(workers=workers, shards=shards) as executor:
             executor.run(self.grid(("MLPnc", "MLP64")))
             rows = executor.run(overlap)
             stats = dict(executor.last_stats)
-        # Per matrix only MLP256 reaches the backend; at shards=4 that
-        # one variant splits into four stream chunks.
+        # Per matrix only the four new variants reach the backend; at
+        # shards=4 they split into one task each.
         assert stats["row_hits"] == 4
-        assert (stats["groups"], stats["tasks"]) == (2, 2 * chunks)
+        assert (stats["groups"], stats["tasks"]) == (2, 2 * tasks)
         assert rows == SweepExecutor(workers=1).run(overlap)
 
     def test_streamed_partial_group_carries_every_variant(self):

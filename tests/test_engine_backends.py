@@ -7,10 +7,9 @@ these tests pin its contract:
   registered kinds) at both point construction and lookup;
 * duplicate registration is rejected unless explicitly replaced;
 * for **every** registered backend, any shard count produces tables
-  byte-identical to the serial run (property-based over shard counts),
-  including the adapter backends' window-aligned stream chunking;
-* shard/chunk identity is part of the analysis-cache key, so a chunk
-  analysis can never be served where the whole-matrix one belongs.
+  byte-identical to the serial run (property-based over shard counts);
+* a shard task is a chunk of a group's variants, never of a stream, so
+  a single-variant group is one task however many shards are asked for.
 """
 
 import pytest
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     AnalysisCache,
-    ShardTask,
     SweepExecutor,
     SweepPoint,
     get_backend,
@@ -92,15 +90,18 @@ class TestShardingMatchesSerial:
         sharded = SweepExecutor(workers=1, shards=shards).run(points)
         assert serial == sharded
 
-    def test_single_variant_stream_chunking_is_exact(self):
-        # One variant, many shards: the adapter backend must chunk the
-        # stream itself (window-aligned) and the merged row must be
-        # bit-identical — floats and all — to the serial row.
+    def test_single_variant_group_runs_in_process(self):
+        # One variant, more shards than variants: the stream never
+        # splits, so the group is one task, which runs in-process
+        # without spawning the pool, and the row is the serial row.
         for variant in ("MLP256", "MLP8", "SEQ256", "MLPnc"):
             points = grid_points("adapter", ("pwtk",), (variant,), max_nnz=TINY)
             serial = SweepExecutor(workers=1, shards=1).run(points)
-            chunked = SweepExecutor(workers=1, shards=5).run(points)
-            assert serial == chunked, variant
+            with SweepExecutor(workers=2, shards=4) as executor:
+                sharded = executor.run(points)
+                assert executor.last_stats["tasks"] == 1, variant
+                assert executor.stats["pool_spawns"] == 0, variant
+            assert serial == sharded, variant
 
     def test_pooled_sharded_equals_serial(self):
         points = (
@@ -112,27 +113,16 @@ class TestShardingMatchesSerial:
 
     def test_adapter_split_shapes(self):
         backend = get_backend("adapter")
-        key = ("adapter", "pwtk", "sell", TINY, "fast")
-        # shard budget below the variant count: contiguous variant chunks
-        tasks = backend.split(key, ("a", "b", "c"), 2)
-        assert [t.variants for t in tasks] == [("a",), ("b", "c")]
-        assert all(t.chunk is None for t in tasks)
-        # budget beyond the variant count (fast model): stream chunks
-        tasks = backend.split(key, ("a", "b"), 4)
-        assert [(t.variants, t.chunk) for t in tasks] == [
-            (("a",), (0, 2)), (("a",), (1, 2)),
-            (("b",), (0, 2)), (("b",), (1, 2)),
-        ]
-        # the cycle model never stream-chunks (not exactly mergeable)
-        cycle_key = ("adapter", "pwtk", "sell", TINY, "cycle")
-        tasks = backend.split(cycle_key, ("a",), 4)
-        assert [t.chunk for t in tasks] == [None]
-
-    def test_chunked_task_on_chunkless_backend_rejected(self):
-        backend = get_backend("system")
-        task = ShardTask(("system", "pwtk", "", TINY, "fast"), ("base",), (0, 2))
-        with pytest.raises(ExperimentError):
-            backend.run_shard(task, AnalysisCache())
+        for model in ("fast", "cycle"):
+            key = ("adapter", "pwtk", "sell", TINY, model)
+            # shard budget below the variant count: contiguous variant chunks
+            tasks = backend.split(key, ("a", "b", "c"), 2)
+            assert [t.variants for t in tasks] == [("a",), ("b", "c")]
+            # budget beyond the variant count: one task per variant
+            tasks = backend.split(key, ("a", "b"), 4)
+            assert [t.variants for t in tasks] == [("a",), ("b",)], model
+            tasks = backend.split(key, ("a",), 4)
+            assert [t.variants for t in tasks] == [("a",)], model
 
 
 class TestShardKnobs:
@@ -162,7 +152,9 @@ class TestShardKnobs:
 
     def test_executor_counts_tasks_and_cache_traffic(self):
         executor = SweepExecutor(workers=1, shards=4)
-        executor.run(grid_points("adapter", ("pwtk",), ("MLP256",), max_nnz=TINY))
+        executor.run(grid_points(
+            "adapter", ("pwtk",), ("MLPnc", "MLP8", "MLP64", "MLP256"), max_nnz=TINY
+        ))
         assert executor.last_stats["groups"] == 1
         assert executor.last_stats["tasks"] == 4
         total = executor.last_stats["cache_hits"] + executor.last_stats["cache_misses"]
@@ -171,23 +163,6 @@ class TestShardKnobs:
 
 
 class TestChunkedCacheKeys:
-    def test_chunk_is_part_of_the_key(self):
-        cache = AnalysisCache()
-        whole = cache.stream("pwtk", "sell", TINY)
-        chunk = cache.stream("pwtk", "sell", TINY, chunk=(0, 512))
-        assert chunk.size == 512
-        assert chunk is not whole
-        assert chunk is cache.stream("pwtk", "sell", TINY, chunk=(0, 512))
-        assert (chunk == whole[:512]).all()
-
-    def test_chunk_analysis_never_aliases_whole_analysis(self):
-        cache = AnalysisCache()
-        whole = cache.analysis("pwtk", "sell", TINY, 8)
-        chunk = cache.analysis("pwtk", "sell", TINY, 8, chunk=(256, 1024))
-        assert chunk is not whole
-        assert chunk.blocks.size == 1024 - 256
-        assert (chunk.blocks == whole.blocks[256:1024]).all()
-
     def test_counters_track_hits_and_misses(self):
         cache = AnalysisCache()
         assert cache.counters() == {"hits": 0, "misses": 0, "evictions": 0}

@@ -161,6 +161,11 @@ class TestCanonicalize:
              "invalid adapter variant"),
             ({"kind": "strided", "matrices": ["linear"], "variants": ["s8"],
               "formats": ["sell"]}, "does not apply"),
+            # Label numbers past int64 would overflow only once computed.
+            ({"kind": "strided", "matrices": ["linear"],
+              "variants": ["s99999999999999999999999"]}, "int64"),
+            ({"kind": "multichannel", "matrices": ["pwtk"],
+              "variants": ["ch99999999999999999999"]}, "int64"),
         ],
     )
     def test_malformed_requests_are_rejected(self, payload, fragment):
