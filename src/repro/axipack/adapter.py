@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import AdapterConfig, DramConfig
+from ..config import AdapterConfig, DramConfig, variant_label
 from ..errors import SimulationError
 from ..mem.backing_store import BackingStore
 from ..mem.dram import DramChannel
@@ -24,7 +24,7 @@ from ..mem.multichannel import MultiChannelMemory
 from ..mem.reorder import ReorderBuffer
 from ..mem.request import MemRequest, MemResponse
 from ..sim.clock import Simulator, default_engine
-from ..sim.component import Component
+from ..sim.component import Component, Wiring
 from ..sim.fifo import Fifo
 from .burst import IndirectBurst
 from .coalescer import RequestCoalescer
@@ -37,7 +37,7 @@ from .packer import ElementPacker
 from .arbiter import Arbiter
 
 
-class IndirectStreamUnit(Component):
+class IndirectStreamUnit(Wiring):
     """The complete adapter, owning the wiring FIFOs between blocks."""
 
     def __init__(
@@ -100,23 +100,12 @@ class IndirectStreamUnit(Component):
             self.arbiter,
         ]
 
-    def tick(self) -> None:
-        """The container itself only hosts wiring FIFOs."""
-
-    def next_event(self) -> int | None:
-        return None  # no behaviour of its own, ever
-
-    def wake_fifos(self):
-        return [], []  # owns wiring FIFOs but never reacts to them
-
     @property
     def done(self) -> bool:
         return self.packer.done
 
     @property
     def elem_txns(self) -> int:
-        if isinstance(self.element_path, RequestCoalescer):
-            return self.element_path.stats["wide_elem_txns"]
         return self.element_path.stats["wide_elem_txns"]
 
     @property
@@ -240,7 +229,7 @@ def run_indirect_stream(
 
     stats = memory.stats.as_dict()
     metrics = AdapterMetrics(
-        variant=variant or _label_for(config),
+        variant=variant or variant_label(config),
         count=len(indices),
         cycles=cycles,
         idx_txns=adapter.fetcher.blocks_issued,
@@ -256,11 +245,3 @@ def run_indirect_stream(
     if isinstance(memory, MultiChannelMemory):
         metrics.extras["channels"] = float(memory.num_channels)
     return metrics
-
-
-def _label_for(config: AdapterConfig) -> str:
-    if not config.has_coalescer:
-        return "MLPnc"
-    assert config.coalescer is not None
-    prefix = "MLP" if config.coalescer.parallel else "SEQ"
-    return f"{prefix}{config.coalescer.window}"

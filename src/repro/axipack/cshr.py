@@ -13,6 +13,13 @@ Sec. II-B):
   hitmap plus per-slot offset registers (the list form also represents
   warps that span a window swap, which the hardware encodes with a
   window-boundary marker).
+
+Both coalescers share the register and the window through
+:class:`~repro.axipack.coalescer.WindowCoalescer`.  Only the meaning of
+an entry differs: the read path merges ``(window slot, word offset)``
+and caps each slot at its offsets-queue depth (``take_group``'s
+``slot_counts``); the write path merges ``(stream position, byte
+offset)`` with no cap, since the position names the value to write.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ class Cshr:
     """The single active coalescer status holding register."""
 
     tag: int | None = None
-    #: merged (slot, word-offset) pairs in absorb order.
+    #: merged (slot, offset) pairs in absorb order; the write path's
+    #: "slot" is the stream position (see the module docstring).
     entries: list[tuple[int, int]] = field(default_factory=list)
-    #: per-slot merge counts (for metadata-queue capacity checks).
+    #: per-slot merge counts (the read path's metadata-queue capacity
+    #: checks).
     slot_counts: Counter = field(default_factory=Counter)
 
     @property

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import AdapterConfig, DramConfig
+from ..config import AdapterConfig, DramConfig, variant_label
 from ..mem.timeline import service_timeline
 from ..units import ceil_div
 from .metrics import AdapterMetrics
@@ -340,7 +340,7 @@ def fast_metrics_from_tags(
     idx_txns = ceil_div(count * config.index_bytes, dram.access_bytes)
     idx_blocks = np.arange(idx_txns, dtype=np.int64) + (1 << 22)  # separate region
 
-    label = variant or _default_label(config)
+    label = variant or variant_label(config)
     if not config.has_coalescer:
         watcher_cycles = 0
         gen_cycles = count  # one wide issue per request through one port
@@ -440,11 +440,3 @@ def fast_indirect_stream(
     return fast_metrics_from_tags(
         count, elem_txns, warp_tags, config, dram, variant, channels
     )
-
-
-def _default_label(config: AdapterConfig) -> str:
-    if not config.has_coalescer:
-        return "MLPnc"
-    assert config.coalescer is not None
-    prefix = "MLP" if config.coalescer.parallel else "SEQ"
-    return f"{prefix}{config.coalescer.window}"

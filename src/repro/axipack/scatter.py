@@ -10,7 +10,10 @@ and replaces the element read path with a **write coalescer**: windows
 of W narrow writes are merged per wide block in the CSHR (last write
 wins within a warp, in stream order) and issued as a single wide AXI
 write with byte strobes.  Write-after-write ordering across warps is
-guaranteed by the DRAM controller's same-address hazard ordering.
+guaranteed by the DRAM controller's same-address hazard ordering.  The
+upsizer, regulator, watcher and watchdog are shared with the read path
+(:class:`~repro.axipack.coalescer.WindowCoalescer`); only the warp
+contents, the wide write and the ack counter belong to this module.
 
 Duplicate-index semantics therefore match a sequential scatter exactly:
 duplicates within one window merge into one warp in stream order, and
@@ -18,7 +21,6 @@ warps to the same block always commit in window (stream) order.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -29,13 +31,12 @@ from ..mem.dram import DramChannel
 from ..mem.reorder import ReorderBuffer
 from ..mem.request import MemRequest, MemResponse
 from ..sim.clock import Simulator, default_engine
-from ..sim.component import FAR_FUTURE, Component
+from ..sim.component import Wiring
 from ..sim.fifo import Fifo
-from ..sim.stats import StatSet
 from ..units import ceil_div
 from .arbiter import Arbiter
-from .burst import IndirectBurst, NarrowRequest
-from .cshr import Window
+from .burst import IndirectBurst
+from .coalescer import WindowCoalescer
 from .element_request_gen import ElementRequestGen
 from ..mem.timeline import service_timeline
 from .fastmodel import (
@@ -52,13 +53,15 @@ from .metrics import AdapterMetrics
 WRITE_AXI_ID = 2
 
 
-class WriteCoalescer(Component):
+class WriteCoalescer(WindowCoalescer):
     """Window-based write merging with strobed wide writes.
 
-    Structurally the upsizer/regulator/watcher of the read coalescer;
-    the return path shrinks to an ack counter (write responses carry no
-    data) and the metadata queues disappear — the offsets and values
-    travel inside the wide write itself.
+    The upsizer, regulator, watcher and watchdog are the shared
+    :class:`~repro.axipack.coalescer.WindowCoalescer` core.  The write
+    path adds the warp's contents, the strobed wide write and an ack
+    counter as its return path (write responses carry no data).  Its
+    metadata queues disappear, because the offsets and values travel
+    inside the wide write itself, so no per-slot limit caps a warp.
     """
 
     def __init__(
@@ -70,104 +73,47 @@ class WriteCoalescer(Component):
         write_rsp: Fifo[MemResponse],
         name: str = "wcoal",
     ) -> None:
-        super().__init__(name)
-        if config.coalescer is None:
-            raise SimulationError("WriteCoalescer requires a coalescer config")
-        self.config = config
-        self.cc = config.coalescer
-        self.dram_config = dram_config
+        super().__init__(config, dram_config, write_req, write_rsp, name)
         self.values = np.asarray(values, dtype=np.float64)
-        self.write_req = write_req
-        self.write_rsp = write_rsp
-        self.stats = StatSet(name)
-
-        self.request_queues: list[Fifo[NarrowRequest]] = [
-            self.make_fifo(self.cc.sizer_queue_depth, f"req{q}")
-            for q in range(self.cc.window)
-        ]
-        self._queued = 0
-        self._window: Window | None = None
-        self._regulator_wait = 0
-        self._watchdog_wait = 0
-        #: open warp: block tag -> byte offset -> value (stream order).
-        self._tag: int | None = None
-        self._warp: dict[int, float] = {}
         self.acks_expected = 0
         self.acks_received = 0
 
-    # -- RequestSink protocol ----------------------------------------------
-
-    def can_accept(self, seq: int) -> bool:
-        return self.request_queues[seq % self.cc.window].can_push()
-
-    def accept(self, request: NarrowRequest) -> None:
-        self.request_queues[request.seq % self.cc.window].push(request)
-        self._queued += 1
-
-    def accept_watches(self) -> list[Fifo]:
-        """FIFOs whose pops can turn ``can_accept`` true (see
-        :class:`~repro.axipack.element_request_gen.RequestSink`)."""
-        return list(self.request_queues)
-
-    # -- main loop -----------------------------------------------------------
-
-    def tick(self) -> None:
-        self._absorb_acks()
-        self._tick_watcher()
-        self._tick_regulator()
-
-    def _absorb_acks(self) -> None:
-        while self.write_rsp.can_pop():
-            self.write_rsp.pop()
+    def _tick_return(self) -> None:
+        while self.wide_rsp.can_pop():
+            self.wide_rsp.pop()
             self.acks_received += 1
 
-    def _tick_regulator(self) -> None:
-        if self._window is not None and not self._window.exhausted:
-            return
-        if self._queued == 0:
-            self._regulator_wait = 0
-            return
-        queues_ready = [q for q in self.request_queues if q.can_pop()]
-        complete = len(queues_ready) == self.cc.window
-        if not complete and self._regulator_wait < self.cc.regulator_timeout:
-            self._regulator_wait += 1
-            return
-        requests = [q.pop() for q in queues_ready]
-        self._queued -= len(requests)
-        self._window = Window(requests, self.dram_config.access_bytes, self.cc.window)
-        self._regulator_wait = 0
-        self.stats.add("windows")
+    def _return_due(self) -> bool:
+        return self.wide_rsp.can_pop()  # ack absorption pops every cycle
 
     def _absorb_hits(self) -> int:
+        # A warp entry is (stream position, byte offset): the position
+        # names the value to write.
         window = self._window
-        if window is None or self._tag is None:
-            return 0
-        hits = window.take_group(self._tag)
+        cshr = self._cshr
+        assert window is not None and cshr.tag is not None
+        hits = window.take_group(cshr.tag)
         for hit in hits:
-            offset = hit.addr - self._tag
-            # Last write wins in stream (absorb) order.
-            self._warp[offset] = float(self.values[hit.seq])
+            cshr.merge(hit.seq, hit.addr - cshr.tag)
         if hits:
             self.stats.add("coalesced_writes", len(hits))
         return len(hits)
 
-    def _can_issue(self) -> bool:
-        return bool(self._warp) and self.write_req.can_push()
-
-    def _issue(self) -> None:
-        assert self._tag is not None
+    def _push_warp(self) -> None:
+        assert self._cshr.tag is not None
         block = self.dram_config.access_bytes
         data = np.zeros(block, dtype=np.uint8)
         mask = np.zeros(block, dtype=bool)
         width = self.config.element_bytes
-        for offset, value in self._warp.items():
+        # Entries replay in absorb (stream) order: the last write wins.
+        for seq, offset in self._cshr.entries:
             data[offset : offset + width] = np.frombuffer(
-                np.float64(value).tobytes(), dtype=np.uint8
+                self.values[seq].tobytes(), dtype=np.uint8
             )
             mask[offset : offset + width] = True
-        self.write_req.push(
+        self.wide_req.push(
             MemRequest(
-                addr=self._tag,
+                addr=self._cshr.tag,
                 nbytes=block,
                 axi_id=WRITE_AXI_ID,
                 is_write=True,
@@ -177,131 +123,15 @@ class WriteCoalescer(Component):
         )
         self.acks_expected += 1
         self.stats.add("wide_writes")
-        self._tag = None
-        self._warp = {}
-        self._watchdog_wait = 0
-
-    def _tick_watcher(self) -> None:
-        window = self._window
-        absorbed = 0
-        if self._tag is not None:
-            absorbed = self._absorb_hits()
-
-        pending = window is not None and not window.exhausted
-        if pending:
-            assert window is not None
-            if self._tag is None:
-                self._tag = window.oldest_unabsorbed().block_addr(
-                    self.dram_config.access_bytes
-                )
-                self._absorb_hits()
-                self._watchdog_wait = 0
-            elif self._can_issue():
-                next_tag = window.oldest_unabsorbed().block_addr(
-                    self.dram_config.access_bytes
-                )
-                self._issue()
-                self._tag = next_tag
-            return
-
-        if self._warp:
-            if absorbed:
-                self._watchdog_wait = 0
-            else:
-                self._watchdog_wait += 1
-                if self._watchdog_wait >= self.cc.watchdog_timeout and self._can_issue():
-                    self._issue()
-                    self.stats.add("watchdog_issues")
-
-    # -- batched-engine protocol ----------------------------------------------
-
-    def next_event(self) -> int | None:
-        cycle = self.cycle
-        if self.write_rsp.can_pop():
-            return cycle  # ack absorption pops every cycle
-        window = self._window
-        if window is not None and not window.exhausted:
-            # Watcher with pending misses: arming and issuing are
-            # immediate; blocked mid-window only a write_req pop can
-            # unblock us.
-            if self._tag is None or self._can_issue():
-                return cycle
-            if window.groups.get(self._tag):
-                return cycle  # absorbable hits for the open warp
-            return None
-        due = FAR_FUTURE
-        if self._warp and self._can_issue():
-            wd = self.cc.watchdog_timeout - 1 - self._watchdog_wait
-            due = cycle + wd if wd > 0 else cycle
-        if self._queued > 0:
-            if (
-                all(q.can_pop() for q in self.request_queues)
-                or self._regulator_wait >= self.cc.regulator_timeout
-            ):
-                return cycle
-            due = min(
-                due, cycle + self.cc.regulator_timeout - self._regulator_wait
-            )
-        return None if due >= FAR_FUTURE else due
-
-    def advance(self, cycles: int) -> None:
-        # Mirrors RequestCoalescer.advance: replay the two pure time
-        # counters the skipped no-op ticks would have moved.
-        window = self._window
-        if window is not None and not window.exhausted:
-            return
-        if self._warp:
-            self._watchdog_wait += cycles
-        if self._queued == 0:
-            self._regulator_wait = 0
-        elif self._regulator_wait < self.cc.regulator_timeout:
-            self._regulator_wait += cycles
-
-    def wake_fifos(self) -> tuple[list[Fifo], list[Fifo]]:
-        # accept() fills request_queues during the generator's tick and
-        # the regulator observes those accepts the same cycle, so the
-        # queues stay push-sensitive (as in the read coalescer).
-        return [*self.fifos, self.write_req, self.write_rsp], list(
-            self.request_queues
-        )
-
-    def max_bulk(self, limit: int) -> int:
-        # Mirrors RequestCoalescer.max_bulk: the watchdog/regulator waits
-        # are the only regular bursts, and next_event already reports the
-        # nearest expiry; the span strictly before it is counter-only.
-        due = self.next_event()
-        if due is None:
-            return 0
-        span = due - self.cycle
-        if span <= 1:
-            return 0
-        return span if span < limit else limit
-
-    def bulk_tick(self, cycles: int) -> None:
-        self.advance(cycles)
 
     @property
     def done(self) -> bool:
-        if self._queued or self._warp:
-            return False
-        if self._window is not None and not self._window.exhausted:
-            return False
-        return self.acks_received == self.acks_expected
+        """Every accepted write merged, issued and acknowledged."""
+        return not self.busy
 
     @property
     def busy(self) -> bool:
-        return not self.done or super().busy
-
-
-class _Wiring(Component):
-    def tick(self) -> None:
-        pass
-
-    def next_event(self) -> int | None:
-        return None  # wiring FIFOs only, no behaviour
-
-    def wake_fifos(self) -> tuple[list[Fifo], list[Fifo]]:
-        return [], []
+        return self.acks_received != self.acks_expected or super().busy
 
 
 def run_indirect_scatter(
@@ -335,7 +165,7 @@ def run_indirect_scatter(
     sinks: dict[int, Fifo[MemResponse]] = {}
     reorder = ReorderBuffer(memory.req, memory.rsp, sinks)
 
-    wiring = _Wiring("scatter_unit")
+    wiring = Wiring("scatter_unit")
     idx_req: Fifo[MemRequest] = wiring.make_fifo(4, "idx_req")
     write_req: Fifo[MemRequest] = wiring.make_fifo(4, "write_req")
     idx_rsp: Fifo[MemResponse] = wiring.make_fifo(None, "idx_rsp")

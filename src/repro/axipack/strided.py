@@ -25,7 +25,7 @@ from ..mem.dram import DramChannel
 from ..mem.reorder import ReorderBuffer
 from ..mem.request import MemRequest, MemResponse
 from ..sim.clock import Simulator, default_engine
-from ..sim.component import Component
+from ..sim.component import Component, Wiring
 from ..sim.fifo import Fifo
 from .arbiter import Arbiter
 from .burst import NarrowRequest
@@ -72,19 +72,6 @@ class StridedBurst:
     @property
     def effective_bytes(self) -> int:
         return self.count * self.element_bytes
-
-
-class _Wiring(Component):
-    """FIFO-hosting container with no behaviour of its own."""
-
-    def tick(self) -> None:
-        pass
-
-    def next_event(self) -> int | None:
-        return None
-
-    def wake_fifos(self) -> tuple[list[Fifo], list[Fifo]]:
-        return [], []
 
 
 class StridedRequestGen(Component):
@@ -188,7 +175,7 @@ def run_strided_stream(
     sinks: dict[int, Fifo[MemResponse]] = {}
     reorder = ReorderBuffer(memory.req, memory.rsp, sinks)
 
-    container = _Wiring("strided_unit")
+    container = Wiring("strided_unit")
     elem_req: Fifo[MemRequest] = container.make_fifo(4, "elem_req")
     elem_rsp: Fifo[MemResponse] = container.make_fifo(None, "elem_rsp")
     sinks[ELEMENT_AXI_ID] = elem_rsp

@@ -265,6 +265,15 @@ def variant_config(name: str) -> AdapterConfig:
     raise ConfigError(f"unknown adapter variant {name!r}")
 
 
+def variant_label(config: AdapterConfig) -> str:
+    """The ``MLPx`` / ``SEQx`` / ``MLPnc`` label of ``config`` (the
+    inverse of :func:`variant_config`)."""
+    if config.coalescer is None:
+        return "MLPnc"
+    prefix = "MLP" if config.coalescer.parallel else "SEQ"
+    return f"{prefix}{config.coalescer.window}"
+
+
 def with_window(config: AdapterConfig, window: int) -> AdapterConfig:
     """Return a copy of ``config`` with a different coalescer window."""
     if config.coalescer is None:

@@ -172,3 +172,18 @@ class Component:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} @cycle {self.cycle}>"
+
+
+class Wiring(Component):
+    """A container that only hosts the FIFOs wiring other components
+    together: it never acts, so the batched engine never ticks it and
+    no FIFO wakes it."""
+
+    def tick(self) -> None:
+        pass
+
+    def next_event(self) -> int | None:
+        return None
+
+    def wake_fifos(self) -> tuple[list[Fifo], list[Fifo]]:
+        return [], []
