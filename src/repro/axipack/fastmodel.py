@@ -13,18 +13,28 @@ occurrence of its block (:func:`previous_occurrence`, one sort, cached
 per stream) decides whether it opens a warp in its window — one
 comparison per request against the window's first position — and the
 carry across window swaps collapses into a prefix scan over the
-windows (:func:`resolve_window_carry`).  The bottlenecks are:
+windows (:func:`resolve_window_carry`).
 
-* narrow request generation / element packing (N per cycle, or 1 for
-  the sequential variant's watcher scan),
+One function, :func:`price_block_stream`, prices every fast path: the
+gather (:func:`fast_indirect_stream`, also over several channels), the
+scatter (:func:`repro.axipack.scatter.fast_indirect_scatter`) and the
+strided burst (:func:`repro.axipack.strided.fast_strided_stream`, with
+no index fetches).  Its bottlenecks are:
+
+* narrow request generation (N per cycle, or 1 for the sequential
+  variant's upsizer) and element packing (N per cycle),
 * request-watcher warp retirement (one warp per cycle, parallel),
+* the one wide request port (element plus index transactions),
 * the DRAM channel: the bank-state service timeline of
   :func:`repro.mem.timeline.service_timeline` — queue-bounded FR-FCFS
-  row grouping with open-row tracking over the actual transaction
-  streams (one timeline per memory channel for multi-channel sweeps).
+  row grouping with open-row tracking over the element transactions
+  with the index fetches interleaved (one timeline per memory channel
+  for multi-channel sweeps),
 
-Tests cross-validate both the wide-access counts (exact match required)
-and the cycle counts (within a tolerance band) against the cycle model.
+plus a fixed pipeline fill and the watchdog/regulator stream-tail
+flush.  Tests cross-validate the wide-access counts (exact up to ±2)
+and the cycle counts (within a tolerance band) of the gather and the
+scatter against the cycle model.
 """
 
 from __future__ import annotations
@@ -320,55 +330,54 @@ def _channel_dram_cycles(
     return cycles, stats, (hits / txns if txns else 0.0)
 
 
-def fast_metrics_from_tags(
-    count: int,
-    elem_txns: int,
-    warp_tags: np.ndarray,
+def price_block_stream(
+    blocks: np.ndarray,
+    idx_txns: int,
     config: AdapterConfig,
-    dram_config: DramConfig | None = None,
+    dram: DramConfig,
+    prev: np.ndarray | None = None,
     variant: str = "",
     channels: int = 1,
 ) -> AdapterMetrics:
-    """Analytic pipeline timing for a pre-coalesced element stream.
+    """Analytic pipeline timing of one wide-block request stream.
 
-    The back half of :func:`fast_indirect_stream`: given the wide
-    element transaction count and the warp-tag issue stream (from
-    :func:`coalesce_window_exact`, or every request's block for the
-    coalescer-less variant), derive the cycle count and metrics.
+    The one timing formula of the fast model: gather, scatter,
+    multi-channel and strided streams all price here.  ``blocks`` is the
+    wide-block id of every narrow request in stream order (``prev``, if
+    given, must be ``previous_occurrence(blocks)``), and ``idx_txns``
+    the stream's wide index fetches (0 for a strided burst).  The
+    blocks coalesce window-exactly (:func:`coalesce_window_exact`; the
+    coalescer-less variant issues one wide access per request), the
+    index blocks interleave into the DRAM stream, and the cycle count
+    is the slowest of request generation, watcher retirement, the DRAM
+    timeline, packing and the one wide issue port, plus
+    :data:`PIPELINE_FILL_CYCLES` and the stream-tail flush.
     """
-    dram = dram_config or DramConfig()
-    idx_txns = ceil_div(count * config.index_bytes, dram.access_bytes)
-    idx_blocks = np.arange(idx_txns, dtype=np.int64) + (1 << 22)  # separate region
-
-    label = variant or variant_label(config)
-    if not config.has_coalescer:
-        watcher_cycles = 0
-        gen_cycles = count  # one wide issue per request through one port
+    count = int(blocks.size)
+    coalescer = config.coalescer
+    if coalescer is None:
+        elem_txns, warp_tags = count, blocks
+        # One wide issue per request through one port.
+        gen_cycles, watcher_cycles, tail_cycles = count, 0, 0
     else:
-        assert config.coalescer is not None
-        watcher_cycles = elem_txns + ceil_div(count, config.coalescer.window)
+        elem_txns, warp_tags = coalesce_window_exact(blocks, coalescer.window, prev)
+        watcher_cycles = elem_txns + ceil_div(count, coalescer.window)
         # SEQx serialises the upsizer input to one request per cycle;
         # the watcher and coalesce rate are identical to MLPx.
-        gen_cycles = (
-            ceil_div(count, config.lanes) if config.coalescer.parallel else count
-        )
+        gen_cycles = ceil_div(count, config.lanes) if coalescer.parallel else count
+        # Stream-tail flush: the last open warp always waits out the
+        # watchdog, and a ragged tail window waits out the regulator —
+        # exactly as in the cycle model.
+        tail_cycles = coalescer.watchdog_timeout
+        if count % coalescer.window:
+            tail_cycles += coalescer.regulator_timeout
 
+    idx_blocks = np.arange(idx_txns, dtype=np.int64) + (1 << 22)  # separate region
     dram_cycles, dram_walk, row_hit_rate = _channel_dram_cycles(
         _interleave_streams(warp_tags, idx_blocks), dram, channels
     )
     pack_cycles = ceil_div(count, config.lanes)
     issue_cycles = elem_txns + idx_txns  # one wide request port
-
-    # Stream-tail flush: the last open warp always waits out the
-    # watchdog, and a ragged tail window waits out the regulator —
-    # exactly as in the cycle model.
-    tail_cycles = 0
-    if config.has_coalescer:
-        assert config.coalescer is not None
-        tail_cycles += config.coalescer.watchdog_timeout
-        if count % config.coalescer.window:
-            tail_cycles += config.coalescer.regulator_timeout
-
     cycles = (
         max(gen_cycles, watcher_cycles, dram_cycles, pack_cycles, issue_cycles)
         + PIPELINE_FILL_CYCLES
@@ -376,7 +385,7 @@ def fast_metrics_from_tags(
     )
 
     metrics = AdapterMetrics(
-        variant=label,
+        variant=variant or variant_label(config),
         count=count,
         cycles=cycles,
         idx_txns=idx_txns,
@@ -409,34 +418,24 @@ def fast_indirect_stream(
     """Analytic counterpart of
     :func:`repro.axipack.adapter.run_indirect_stream`.
 
-    Pass ``analysis`` (from :func:`analyze_stream`) when sweeping many
-    variants over one stream to amortise its previous-occurrence sort;
-    a stale analysis (wrong element geometry, length, or sampled stream
-    content — see :func:`_analysis_matches`) falls back to recomputing.
-    ``channels > 1`` prices a block-interleaved multi-channel memory
+    Resolves the stream's wide blocks and index fetches and prices them
+    with :func:`price_block_stream`.  Pass ``analysis`` (from
+    :func:`analyze_stream`) when sweeping many variants over one stream
+    to amortise its previous-occurrence sort; a stale analysis (wrong
+    element geometry, length, or sampled stream content — see
+    :func:`_analysis_matches`) falls back to recomputing.  ``channels >
+    1`` prices a block-interleaved multi-channel memory
     (:class:`repro.mem.multichannel.MultiChannelMemory`), one bank-state
     timeline per channel: the ``multichannel`` sweep backend's fast path.
     """
     dram = dram_config or DramConfig()
     indices = np.ascontiguousarray(indices, dtype=np.int64)
-    count = int(indices.size)
     elements_per_block = dram.access_bytes // config.element_bytes
     if analysis is not None and _analysis_matches(
         analysis, indices, elements_per_block
     ):
         blocks, prev = analysis.blocks, analysis.prev
     else:
-        blocks = indices // elements_per_block
-        prev = None
-
-    if not config.has_coalescer:
-        elem_txns = count
-        warp_tags = blocks
-    else:
-        assert config.coalescer is not None
-        elem_txns, warp_tags = coalesce_window_exact(
-            blocks, config.coalescer.window, prev
-        )
-    return fast_metrics_from_tags(
-        count, elem_txns, warp_tags, config, dram, variant, channels
-    )
+        blocks, prev = indices // elements_per_block, None
+    idx_txns = ceil_div(int(indices.size) * config.index_bytes, dram.access_bytes)
+    return price_block_stream(blocks, idx_txns, config, dram, prev, variant, channels)

@@ -18,6 +18,10 @@ contents, the wide write and the ack counter belong to this module.
 Duplicate-index semantics therefore match a sequential scatter exactly:
 duplicates within one window merge into one warp in stream order, and
 warps to the same block always commit in window (stream) order.
+
+The fast model (:func:`fast_indirect_scatter`) prices a scatter as the
+gather over the same stream: the same warps, the same index fetches
+sharing the channel, and the same pipeline bottlenecks and tail.
 """
 
 from __future__ import annotations
@@ -33,18 +37,11 @@ from ..mem.request import MemRequest, MemResponse
 from ..sim.clock import Simulator, default_engine
 from ..sim.component import Wiring
 from ..sim.fifo import Fifo
-from ..units import ceil_div
 from .arbiter import Arbiter
 from .burst import IndirectBurst
 from .coalescer import WindowCoalescer
 from .element_request_gen import ElementRequestGen
-from ..mem.timeline import service_timeline
-from .fastmodel import (
-    PIPELINE_FILL_CYCLES,
-    StreamAnalysis,
-    _analysis_matches,
-    coalesce_window_exact,
-)
+from .fastmodel import StreamAnalysis, fast_indirect_stream
 from .index_fetcher import INDEX_AXI_ID, IndexFetcher
 from .index_splitter import IndexSplitter
 from .metrics import AdapterMetrics
@@ -225,52 +222,22 @@ def fast_indirect_scatter(
     dram_config: DramConfig | None = None,
     analysis: StreamAnalysis | None = None,
 ) -> AdapterMetrics:
-    """Analytic scatter counterpart (same window-exact coalescing).
+    """Analytic scatter counterpart: the gather's pricing, labelled
+    ``scatter``.
 
-    ``analysis`` is the optional precomputed stream analysis
-    (:func:`repro.axipack.fastmodel.analyze_stream`) — the write
-    coalescer groups by the same wide-block ids as the read path, so a
-    sweep shares one previous-occurrence array across gather and
-    scatter variants (the engine's ``scatter`` backend passes its
-    cached analysis here).
+    The write coalescer groups by the same wide-block ids as the read
+    path through the same upsizer, regulator, watcher and watchdog, and
+    the index fetches share the channel with the wide writes (write
+    bursts occupy the bus and rows as reads do).  So the stream prices
+    exactly as :func:`repro.axipack.fastmodel.fast_indirect_stream`
+    does, and a sweep shares one ``analysis``
+    (:func:`repro.axipack.fastmodel.analyze_stream`) across gather and
+    scatter variants (the engine's ``scatter`` backend passes its cached
+    analysis here).
     """
     config = config or AdapterConfig()
-    dram = dram_config or DramConfig()
     if config.coalescer is None:
         raise SimulationError("the scatter path requires a coalescer")
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    elements_per_block = dram.access_bytes // config.element_bytes
-    if analysis is not None and _analysis_matches(
-        analysis, indices, elements_per_block
-    ):
-        blocks, prev = analysis.blocks, analysis.prev
-    else:
-        blocks = indices * config.element_bytes // dram.access_bytes
-        prev = None
-    elem_txns, tags = coalesce_window_exact(blocks, config.coalescer.window, prev)
-    idx_txns = ceil_div(len(indices) * config.index_bytes, dram.access_bytes)
-    # Wide writes stream through the same bank-state service timeline
-    # as reads (write bursts occupy the bus and rows identically).
-    timeline = service_timeline(tags, dram)
-    dram_cycles, walk = timeline.cycles, dict(timeline.stats)
-    gen = (
-        ceil_div(len(indices), config.lanes)
-        if config.coalescer.parallel
-        else len(indices)
-    )
-    cycles = (
-        max(gen, elem_txns + idx_txns, dram_cycles)
-        + PIPELINE_FILL_CYCLES
-        + config.coalescer.watchdog_timeout
-    )
-    return AdapterMetrics(
-        variant="scatter",
-        count=len(indices),
-        cycles=cycles,
-        idx_txns=idx_txns,
-        elem_txns=elem_txns,
-        element_bytes=config.element_bytes,
-        access_bytes=dram.access_bytes,
-        freq_hz=dram.freq_hz,
-        dram_stats=walk,
+    return fast_indirect_stream(
+        indices, config, dram_config, variant="scatter", analysis=analysis
     )

@@ -7,14 +7,18 @@ it benefits from the very same request coalescer: consecutive elements
 share wide blocks and must not each cost a full 512 b access.
 
 This module adds the strided address generator and a runner mirroring
-:func:`repro.axipack.adapter.run_indirect_stream`, plus the fast-model
-counterpart.  The element path (coalescer / direct), packer, reorder
-front and DRAM are exactly the shared components.
+:func:`repro.axipack.adapter.run_indirect_stream`, which checks every
+packed element against the backing word its address falls in.  The
+element path (coalescer / direct), packer, reorder front and DRAM are
+exactly the shared components.  The fast-model counterpart prices the
+burst's wide blocks through the gather's pipeline formula
+(:func:`repro.axipack.fastmodel.price_block_stream`) with no index
+fetches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,15 +36,10 @@ from .burst import NarrowRequest
 from .coalescer import RequestCoalescer
 from .direct_path import DirectElementPath
 from .element_request_gen import RequestSink
-from ..mem.timeline import service_timeline
-from .fastmodel import (
-    PIPELINE_FILL_CYCLES,
-    coalesce_window_exact,
-)
+from .fastmodel import price_block_stream
 from .index_fetcher import ELEMENT_AXI_ID
 from .metrics import AdapterMetrics
 from .packer import ElementPacker
-from ..units import ceil_div
 
 
 @dataclass(frozen=True)
@@ -206,12 +205,11 @@ def run_strided_stream(
     cycles = sim.run_until(lambda: packer.done, max_cycles=max_cycles)
 
     if verify:
+        # Each element is the 8-byte backing word its address falls in:
+        # the response splitter rounds an unaligned offset down to it.
         addrs = burst.base + np.arange(burst.count, dtype=np.int64) * burst.stride_bytes
-        if addrs.max() % 8 == 0 and burst.base % 8 == 0 and burst.stride_bytes % 8 == 0:
-            expected = backing[addrs // 8]
-            got = np.asarray(packer.output)
-            if not np.array_equal(got, expected):
-                raise SimulationError("strided output mismatch")
+        if not np.array_equal(np.asarray(packer.output), backing[addrs // 8]):
+            raise SimulationError("strided output mismatch")
 
     return AdapterMetrics(
         variant="strided",
@@ -231,43 +229,14 @@ def fast_strided_stream(
     config: AdapterConfig | None = None,
     dram_config: DramConfig | None = None,
 ) -> AdapterMetrics:
-    """Analytic counterpart of :func:`run_strided_stream`."""
+    """Analytic counterpart of :func:`run_strided_stream`: the burst's
+    wide blocks priced by
+    :func:`repro.axipack.fastmodel.price_block_stream` with no index
+    transactions."""
     config = config or AdapterConfig()
     dram = dram_config or DramConfig()
     addrs = burst.base + np.arange(burst.count, dtype=np.int64) * burst.stride_bytes
-    blocks = addrs // dram.access_bytes
-
-    if config.has_coalescer:
-        assert config.coalescer is not None
-        elem_txns, tags = coalesce_window_exact(blocks, config.coalescer.window)
-        watcher = elem_txns + ceil_div(burst.count, config.coalescer.window)
-        gen = (
-            ceil_div(burst.count, config.lanes)
-            if config.coalescer.parallel
-            else burst.count
-        )
-        tail = config.coalescer.watchdog_timeout
-        if burst.count % config.coalescer.window:
-            tail += config.coalescer.regulator_timeout
-    else:
-        elem_txns, tags = burst.count, blocks
-        watcher, gen, tail = 0, burst.count, 0
-
-    timeline = service_timeline(tags, dram)
-    dram_cycles, walk = timeline.cycles, dict(timeline.stats)
-    cycles = (
-        max(gen, watcher, dram_cycles, elem_txns, ceil_div(burst.count, config.lanes))
-        + PIPELINE_FILL_CYCLES
-        + tail
+    metrics = price_block_stream(
+        addrs // dram.access_bytes, 0, config, dram, variant="strided"
     )
-    return AdapterMetrics(
-        variant="strided",
-        count=burst.count,
-        cycles=cycles,
-        idx_txns=0,
-        elem_txns=elem_txns,
-        element_bytes=burst.element_bytes,
-        access_bytes=dram.access_bytes,
-        freq_hz=dram.freq_hz,
-        dram_stats=walk,
-    )
+    return replace(metrics, element_bytes=burst.element_bytes)

@@ -37,10 +37,6 @@ class TileSchedule:
     def total_indirect_cycles(self) -> float:
         return self.indirect_cycles_per_tile * self.num_tiles
 
-    @property
-    def total_prefetch_cycles(self) -> float:
-        return self.prefetch_cycles_per_tile * self.num_tiles
-
 
 def plan_tiles(
     entries: int,

@@ -1,10 +1,12 @@
-"""Cycle model vs fast model cross-validation.
+"""Cycle model vs fast model cross-validation, gather and scatter.
 
 The fast model must reproduce the cycle model's coalescing decisions
 exactly (wide element access counts, modulo the ±2 stream-tail
 watchdog slack documented below) on realistic streams, and its
 analytic cycle counts must stay within a tight band of the cycle
-model's.
+model's.  The scatter path (write coalescer, wide strobed writes) is
+held to the same contract on the same streams; it skips MLPnc, which
+has no coalescer.
 
 Tolerance bands (referenced by README):
 
@@ -22,11 +24,18 @@ paper's coalescer targets) through the slow cycle model; deselect it
 with ``-m "not slow"``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.axipack import fast_indirect_stream, run_indirect_stream
-from repro.config import mlp_config, nocoalescer_config, seq_config, variant_config
+from repro.axipack import (
+    fast_indirect_scatter,
+    fast_indirect_stream,
+    run_indirect_scatter,
+    run_indirect_stream,
+)
+from repro.config import mlp_config, variant_config
 
 from helpers import banded_stream, fem_stream, random_stream
 
@@ -37,29 +46,59 @@ STREAMS = {
     "random": random_stream(3000, 20_000),
 }
 
+#: path -> (cycle model, fast model).  The scatter cycle run writes
+#: each stream position as its value.
+PATHS = {
+    "gather": (run_indirect_stream, fast_indirect_stream),
+    "scatter": (
+        lambda idx, cfg: run_indirect_scatter(
+            idx, np.arange(idx.size, dtype=np.float64), cfg
+        ),
+        fast_indirect_scatter,
+    ),
+}
+
+
+def path_cases(labels):
+    """``(path, label)`` parameters over both paths.  Scatter skips
+    MLPnc, and gather cases keep their bare variant ids."""
+    return [
+        pytest.param(path, label, id=label if path == "gather" else f"{path}-{label}")
+        for path in PATHS
+        for label in labels
+        if path == "gather" or variant_config(label).has_coalescer
+    ]
+
+
+@functools.cache
+def run_models(path, stream_name, label):
+    """Cycle- and fast-model metrics of one stream (``"fem"`` or a
+    :data:`STREAMS` key); each pair serves every test that reads it."""
+    idx = fem_stream(6000) if stream_name == "fem" else STREAMS[stream_name]
+    cycle_model, fast_model = PATHS[path]
+    cfg = variant_config(label)
+    return cycle_model(idx, cfg), fast_model(idx, cfg)
+
+
+LABELS = ["MLPnc", "MLP8", "MLP64", "MLP256", "SEQ256"]
+
 
 @pytest.mark.parametrize("stream_name", list(STREAMS))
-@pytest.mark.parametrize("label", ["MLPnc", "MLP8", "MLP64", "MLP256", "SEQ256"])
-def test_elem_txns_match(stream_name, label):
+@pytest.mark.parametrize("path,label", path_cases(LABELS))
+def test_elem_txns_match(stream_name, path, label):
     """Wide element access counts agree (tail watchdog effects allow a
     couple of accesses of slack)."""
-    idx = STREAMS[stream_name]
-    cfg = variant_config(label)
-    cycle = run_indirect_stream(idx, cfg)
-    fast = fast_indirect_stream(idx, cfg)
+    cycle, fast = run_models(path, stream_name, label)
     assert abs(cycle.elem_txns - fast.elem_txns) <= max(2, 0.01 * fast.elem_txns)
 
 
 @pytest.mark.parametrize("stream_name", list(STREAMS))
-@pytest.mark.parametrize("label", ["MLPnc", "MLP8", "MLP64", "MLP256", "SEQ256"])
-def test_cycles_within_band(stream_name, label):
-    idx = STREAMS[stream_name]
-    cfg = variant_config(label)
-    cycle = run_indirect_stream(idx, cfg)
-    fast = fast_indirect_stream(idx, cfg)
+@pytest.mark.parametrize("path,label", path_cases(LABELS))
+def test_cycles_within_band(stream_name, path, label):
+    cycle, fast = run_models(path, stream_name, label)
     ratio = cycle.cycles / fast.cycles
     assert 0.85 <= ratio <= 1.25, (
-        f"{label}/{stream_name}: cycle={cycle.cycles} fast={fast.cycles}"
+        f"{path}/{label}/{stream_name}: cycle={cycle.cycles} fast={fast.cycles}"
     )
 
 
@@ -75,54 +114,40 @@ def test_mlp256_long_stream_stays_in_band():
 
 
 def test_idx_txns_identical():
-    idx = STREAMS["banded"]
-    for label in ("MLPnc", "MLP64"):
-        cfg = variant_config(label)
-        assert (
-            run_indirect_stream(idx, cfg).idx_txns
-            == fast_indirect_stream(idx, cfg).idx_txns
-        )
+    for param in path_cases(["MLPnc", "MLP64"]):
+        path, label = param.values
+        cycle, fast = run_models(path, "banded", label)
+        assert cycle.idx_txns == fast.idx_txns, param.id
 
 
 class TestFemDeepTier:
     """FEM-structured suite stream through the cycle model (slow)."""
 
-    LABELS = ["MLPnc", "MLP8", "MLP64", "MLP256", "SEQ256"]
-
-    @pytest.fixture(scope="class")
-    def fem(self):
-        return fem_stream(6000)
-
     @pytest.mark.slow
-    @pytest.mark.parametrize("label", LABELS)
-    def test_fem_elem_txns_exact(self, fem, label):
+    @pytest.mark.parametrize("path,label", path_cases(LABELS))
+    def test_fem_elem_txns_exact(self, path, label):
         """Wide-access counts match up to the documented ±2 watchdog
         tail slack (the last open warp's arming-vs-retire accounting)."""
-        cfg = variant_config(label)
-        cycle = run_indirect_stream(fem, cfg)
-        fast = fast_indirect_stream(fem, cfg)
+        cycle, fast = run_models(path, "fem", label)
         assert abs(cycle.elem_txns - fast.elem_txns) <= 2
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("label", ["MLPnc", "MLP8", "MLP64", "SEQ256"])
-    def test_fem_cycles_within_band(self, fem, label):
-        cfg = variant_config(label)
-        cycle = run_indirect_stream(fem, cfg)
-        fast = fast_indirect_stream(fem, cfg)
+    @pytest.mark.parametrize(
+        "path,label", path_cases(["MLPnc", "MLP8", "MLP64", "SEQ256"])
+    )
+    def test_fem_cycles_within_band(self, path, label):
+        cycle, fast = run_models(path, "fem", label)
         assert 0.85 <= cycle.cycles / fast.cycles <= 1.25
 
     @pytest.mark.slow
-    def test_fem_mlp256_band(self, fem):
-        cfg = mlp_config(256)
-        cycle = run_indirect_stream(fem, cfg)
-        fast = fast_indirect_stream(fem, cfg)
-        assert 0.85 <= cycle.cycles / fast.cycles <= 1.25
+    def test_fem_mlp256_band(self):
+        for path in PATHS:
+            cycle, fast = run_models(path, "fem", "MLP256")
+            assert 0.85 <= cycle.cycles / fast.cycles <= 1.25, path
 
     @pytest.mark.slow
-    def test_fem_idx_txns_identical(self, fem):
-        for label in ("MLPnc", "MLP64"):
-            cfg = variant_config(label)
-            assert (
-                run_indirect_stream(fem, cfg).idx_txns
-                == fast_indirect_stream(fem, cfg).idx_txns
-            )
+    def test_fem_idx_txns_identical(self):
+        for param in path_cases(["MLPnc", "MLP64"]):
+            path, label = param.values
+            cycle, fast = run_models(path, "fem", label)
+            assert cycle.idx_txns == fast.idx_txns, param.id

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.axipack import strided
+from repro.axipack.packer import ElementPacker
 from repro.axipack.strided import (
     StridedBurst,
     fast_strided_stream,
@@ -10,7 +12,7 @@ from repro.axipack.strided import (
 )
 from repro.config import mlp_config, nocoalescer_config, seq_config
 from repro.engine import SweepExecutor, grid_points
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 
 
 class TestBurstDescriptor:
@@ -78,6 +80,27 @@ class TestCycleModel:
         burst = StridedBurst(base=24, count=200, stride_bytes=8)
         metrics = run_strided_stream(burst, mlp_config(16))
         assert metrics.count == 200
+
+    @pytest.mark.parametrize("base,stride", [(0, 12), (4, 24), (0, 4100)])
+    def test_unaligned_addresses_verify(self, base, stride):
+        """An element at an address that is not a multiple of 8 B is
+        the backing word it falls in; verify=True checks every burst."""
+        burst = StridedBurst(base=base, count=200, stride_bytes=stride)
+        assert run_strided_stream(burst, nocoalescer_config()).count == 200
+        assert run_strided_stream(burst, mlp_config(64)).count == 200
+
+    def test_verify_catches_a_corrupted_element(self, monkeypatch):
+        class CorruptingPacker(ElementPacker):
+            def tick(self):
+                before = len(self.output)
+                super().tick()
+                if before <= 7 < len(self.output):
+                    self.output[7] += 1.0
+
+        monkeypatch.setattr(strided, "ElementPacker", CorruptingPacker)
+        burst = StridedBurst(base=0, count=64, stride_bytes=12)
+        with pytest.raises(SimulationError, match="strided output mismatch"):
+            run_strided_stream(burst, mlp_config(64))
 
 
 class TestFastModelAgreement:

@@ -1,15 +1,20 @@
-"""Absolute cycle-model numbers for the gather, scatter and strided paths.
+"""Absolute cycle- and fast-model numbers for the gather, scatter and
+strided paths.
 
 The differential suite (``test_sim_engines.py``) compares two engines
 running the same component code, so a change that moves both engines
-alike still passes it.  These pins fix the numbers themselves: cycles,
-wide element and index transactions and the DRAM channel's counters,
-on three seeded streams of 1.5k-3k indices (a permutation, heavy
-duplicates and an FEM-like band) and two strided bursts.  They run on
-the default engine, so the step-engine CI canary re-checks them on the
-oracle.
+alike still passes it, and the cross-validation suite holds the fast
+model only to a band around the cycle model.  These pins fix the
+numbers themselves: cycles, wide element and index transactions and
+the DRAM counters, on three seeded streams of 1.5k-3k indices (a
+permutation, heavy duplicates and an FEM-like band) and strided bursts
+of 1,500 elements.  The cycle-model pins run on the default engine, so
+the step-engine CI canary re-checks them on the oracle.  The
+``fast-*`` pins fix the fast model's gather and strided timing
+(:func:`repro.axipack.fastmodel.price_block_stream`); the fast scatter
+prices as the fast gather does, so it has no pins of its own.
 
-A refactor of the cycle model must leave every pin as it is.  A change
+A refactor of either model must leave every pin as it is.  A change
 that moves a number on purpose updates the pin in the same change and
 says why.
 """
@@ -21,8 +26,13 @@ import pytest
 
 from helpers import banded_stream
 from repro.axipack.adapter import run_indirect_stream
+from repro.axipack.fastmodel import fast_indirect_stream
 from repro.axipack.scatter import run_indirect_scatter
-from repro.axipack.strided import StridedBurst, run_strided_stream
+from repro.axipack.strided import (
+    StridedBurst,
+    fast_strided_stream,
+    run_strided_stream,
+)
 from repro.config import mlp_config, nocoalescer_config, seq_config
 
 VARIANTS = {
@@ -44,19 +54,23 @@ def _stream(name: str) -> np.ndarray:
 def _measure(case: str):
     path, source, variant = case.split("/")
     config = VARIANTS[variant]
-    if path == "gather":
-        metrics = run_indirect_stream(_stream(source), config)
+    if path.endswith("gather"):
+        run = fast_indirect_stream if path == "fast-gather" else run_indirect_stream
+        metrics = run(_stream(source), config)
     elif path == "scatter":
         idx = _stream(source)
         values = np.random.default_rng(24).standard_normal(idx.size)
         metrics = run_indirect_scatter(idx, values, config)
     else:
         burst = StridedBurst(base=0, count=1500, stride_bytes=int(source[1:]))
-        metrics = run_strided_stream(burst, config)
+        run = fast_strided_stream if path == "fast-strided" else run_strided_stream
+        metrics = run(burst, config)
     return metrics.cycles, metrics.elem_txns, metrics.idx_txns, metrics.dram_stats
 
 
-#: ``path/stream/variant`` -> (cycles, elem_txns, idx_txns, dram_stats).
+#: ``path/stream/variant`` -> (cycles, elem_txns, idx_txns, dram_stats);
+#: a ``fast-`` path is the fast model, whose DRAM counters are the
+#: bank-state timeline's.
 PINS = {
     "gather/permutation/MLPnc": (
         4978, 2048, 128,
@@ -231,6 +245,153 @@ PINS = {
         {
             "row_misses": 33, "transactions": 1500, "read_txns": 1500, "bytes": 96000,
             "row_conflicts": 96, "idle_closes": 32,
+        },
+    ),
+    "fast-gather/permutation/MLPnc": (
+        4766, 2048, 128,
+        {
+            "activates": 173, "row_hits": 2003, "row_conflicts": 157,
+            "cold_activates": 16, "refreshes": 1, "queue_windows": 34,
+        },
+    ),
+    "fast-gather/permutation/MLP8": (
+        4706, 2010, 128,
+        {
+            "activates": 171, "row_hits": 1967, "row_conflicts": 155,
+            "cold_activates": 16, "refreshes": 1, "queue_windows": 34,
+        },
+    ),
+    "fast-gather/permutation/MLP64": (
+        4456, 1829, 128,
+        {
+            "activates": 173, "row_hits": 1784, "row_conflicts": 157,
+            "cold_activates": 16, "refreshes": 1, "queue_windows": 31,
+        },
+    ),
+    "fast-gather/permutation/SEQ256": (
+        3565, 1346, 128,
+        {
+            "activates": 178, "row_hits": 1296, "row_conflicts": 162,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 24,
+        },
+    ),
+    "fast-gather/duplicates/MLPnc": (
+        3328, 1536, 96,
+        {
+            "activates": 99, "row_hits": 1533, "row_conflicts": 83,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 26,
+        },
+    ),
+    "fast-gather/duplicates/MLP8": (
+        2416, 1072, 96,
+        {
+            "activates": 97, "row_hits": 1071, "row_conflicts": 81,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 19,
+        },
+    ),
+    "fast-gather/duplicates/MLP64": (
+        912, 264, 96,
+        {
+            "activates": 85, "row_hits": 275, "row_conflicts": 69, "cold_activates": 16,
+            "refreshes": 0, "queue_windows": 6,
+        },
+    ),
+    "fast-gather/duplicates/SEQ256": (
+        2112, 67, 96,
+        {
+            "activates": 52, "row_hits": 111, "row_conflicts": 36, "cold_activates": 16,
+            "refreshes": 0, "queue_windows": 3,
+        },
+    ),
+    "fast-gather/banded/MLPnc": (
+        6790, 3000, 188,
+        {
+            "activates": 250, "row_hits": 2938, "row_conflicts": 234,
+            "cold_activates": 16, "refreshes": 1, "queue_windows": 50,
+        },
+    ),
+    "fast-gather/banded/MLP8": (
+        3197, 1356, 188,
+        {
+            "activates": 239, "row_hits": 1305, "row_conflicts": 223,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 25,
+        },
+    ),
+    "fast-gather/banded/MLP64": (
+        1266, 285, 188,
+        {
+            "activates": 140, "row_hits": 333, "row_conflicts": 124,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 8,
+        },
+    ),
+    "fast-gather/banded/SEQ256": (
+        4088, 141, 188,
+        {
+            "activates": 105, "row_hits": 224, "row_conflicts": 89,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 6,
+        },
+    ),
+    "fast-strided/s8/MLPnc": (
+        3064, 1500, 0,
+        {
+            "activates": 16, "row_hits": 1484, "row_conflicts": 0, "cold_activates": 16,
+            "refreshes": 0, "queue_windows": 24,
+        },
+    ),
+    "fast-strided/s8/MLP64": (
+        696, 188, 0,
+        {
+            "activates": 16, "row_hits": 172, "row_conflicts": 0, "cold_activates": 16,
+            "refreshes": 0, "queue_windows": 3,
+        },
+    ),
+    "fast-strided/s8/SEQ256": (
+        2588, 188, 0,
+        {
+            "activates": 16, "row_hits": 172, "row_conflicts": 0, "cold_activates": 16,
+            "refreshes": 0, "queue_windows": 3,
+        },
+    ),
+    "fast-strided/s72/MLPnc": (
+        3064, 1500, 0,
+        {
+            "activates": 112, "row_hits": 1388, "row_conflicts": 96,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 24,
+        },
+    ),
+    "fast-strided/s72/MLP64": (
+        3320, 1500, 0,
+        {
+            "activates": 112, "row_hits": 1388, "row_conflicts": 96,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 24,
+        },
+    ),
+    "fast-strided/s72/SEQ256": (
+        4088, 1500, 0,
+        {
+            "activates": 112, "row_hits": 1388, "row_conflicts": 96,
+            "cold_activates": 16, "refreshes": 0, "queue_windows": 24,
+        },
+    ),
+    "fast-strided/s4096/MLPnc": (
+        18339, 1500, 0,
+        {
+            "activates": 375, "row_hits": 1125, "row_conflicts": 374,
+            "cold_activates": 1, "refreshes": 4, "queue_windows": 24,
+        },
+    ),
+    "fast-strided/s4096/MLP64": (
+        18595, 1500, 0,
+        {
+            "activates": 375, "row_hits": 1125, "row_conflicts": 374,
+            "cold_activates": 1, "refreshes": 4, "queue_windows": 24,
+        },
+    ),
+    "fast-strided/s4096/SEQ256": (
+        19363, 1500, 0,
+        {
+            "activates": 375, "row_hits": 1125, "row_conflicts": 374,
+            "cold_activates": 1, "refreshes": 4, "queue_windows": 24,
         },
     ),
 }
