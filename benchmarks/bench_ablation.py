@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the design's choices (README.md's "Model
+fidelity" notes cover the W ablation).
 
 Not paper figures — these probe *why* the design works:
 

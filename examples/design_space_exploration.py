@@ -5,8 +5,8 @@ The paper implements W = 64/128/256; this example sweeps a wider range
 (including configurations the paper did not build) and reports each
 point's mean indirect bandwidth on the deep-dive matrices next to its
 coalescer area (kGE), total adapter area (mm², GF12) and on-chip
-storage — the ablation DESIGN.md calls out for the W parameter, useful
-for picking a window size under an area budget.
+storage — the W ablation README.md's "Model fidelity" notes describe,
+useful for picking a window size under an area budget.
 
 Run:  python examples/design_space_exploration.py [max_nnz]
 """

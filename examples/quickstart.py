@@ -24,7 +24,8 @@ def main() -> None:
     max_nnz = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
 
     # 1. A paper-suite matrix, scaled to laptop size (structure-matched
-    #    stand-in for the SuiteSparse original; see DESIGN.md).
+    #    stand-in for the SuiteSparse original; see README.md,
+    #    "Model fidelity").
     matrix = get_matrix("pwtk", max_nnz=max_nnz)
     print(f"matrix: {matrix}")
 

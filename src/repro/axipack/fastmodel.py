@@ -35,22 +35,60 @@ plus a fixed pipeline fill and the watchdog/regulator stream-tail
 flush.  Tests cross-validate the wide-access counts (exact up to ±2)
 and the cycle counts (within a tolerance band) of the gather and the
 scatter against the cycle model.
+
+The pricing splits in two.  :func:`price_memory` prices the memory
+side — the coalesced element transactions and the DRAM timeline over
+them and the interleaved index fetches — which depends only on the
+stream, the window (none for the coalescer-less variant), the index
+fetch count, the DRAM config and the channel count.
+:func:`price_variant` applies the per-variant formula on top.  Every
+variant, scatter or channel count whose memory side is the same — the
+sequential SEQx shares MLPx's window, a scatter its gather's stream —
+reuses one :class:`MemoryTerms`, memoised on the stream's
+:class:`StreamAnalysis` (:meth:`StreamAnalysis.memory_terms`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import AdapterConfig, DramConfig, variant_label
-from ..mem.timeline import service_timeline
+from ..mem.timeline import empty_timeline, service_timeline
 from ..units import ceil_div
 from .metrics import AdapterMetrics
 
 #: pipeline fill latency added to the analytic cycle count (index fetch
 #: round trip + adapter stage depth); small versus any real stream.
 PIPELINE_FILL_CYCLES = 64
+
+#: distinct memory-term keys one :class:`StreamAnalysis` remembers,
+#: oldest out first (a sweep over many channel counts cannot grow it
+#: without limit).
+MEMORY_TERMS_PER_ANALYSIS = 64
+
+
+@dataclass(frozen=True)
+class MemoryTerms:
+    """The memory side of one priced stream (:func:`price_memory`),
+    shared by every variant with the same key
+    (:meth:`StreamAnalysis.memory_terms`); :func:`price_variant` copies
+    ``dram_stats`` into each result.
+    """
+
+    #: coalesced wide element transactions.
+    elem_txns: int
+    #: wide index fetches interleaved into the DRAM stream.
+    idx_txns: int
+    #: memory channels the stream was spread over.
+    channels: int
+    #: DRAM service cycles (the slowest channel's timeline).
+    dram_cycles: int
+    #: timeline counters, summed over channels.
+    dram_stats: dict[str, int]
+    #: transaction-weighted row-hit rate.
+    row_hit_rate: float
 
 
 @dataclass(frozen=True)
@@ -71,6 +109,28 @@ class StreamAnalysis:
     prev: np.ndarray
     #: element geometry the blocks were derived with.
     elements_per_block: int
+    #: memoised :class:`MemoryTerms` by (window, index fetches, DRAM
+    #: config, channels); dropped with the analysis.
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memory_terms(
+        self, window: int | None, idx_txns: int, dram: DramConfig, channels: int = 1
+    ) -> MemoryTerms:
+        """:func:`price_memory` over these blocks, priced once per key.
+
+        The key is everything the memory side depends on besides the
+        stream, so SEQx reuses MLPx's terms and a scatter its gather's.
+        """
+        key = (window, idx_txns, dram, channels)
+        terms = self._terms.get(key)
+        if terms is None:
+            if len(self._terms) >= MEMORY_TERMS_PER_ANALYSIS:
+                self._terms.pop(next(iter(self._terms)))
+            terms = price_memory(
+                self.blocks, idx_txns, window, dram, self.prev, channels
+            )
+            self._terms[key] = terms
+        return terms
 
 
 def analyze_stream(indices: np.ndarray, elements_per_block: int) -> StreamAnalysis:
@@ -306,61 +366,87 @@ def _channel_dram_cycles(
     channels, i.e. ``block % channels``); the channel-select bits are
     stripped before each channel's bank/row decode (``block //
     channels``), matching the ``channel_stride`` decode the cycle-level
-    channels apply behind the multi-channel router.  Each channel's
-    transaction slice runs through its own
-    :func:`repro.mem.timeline.service_timeline`; the service time is
-    the slowest channel, the stats sum over channels, and the third
-    return is the transaction-weighted row-hit rate.
+    channels apply behind the multi-channel router.  One stable sort
+    groups the stream by channel, keeping each channel's transactions
+    in stream order, and each channel that gets traffic runs through
+    its own :func:`repro.mem.timeline.service_timeline` — an idle
+    channel adds nothing, so the cost follows the stream, not the
+    channel count.  The service time is the slowest channel, the stats
+    sum over channels (from the empty timeline's zero counters), and
+    the third return is the transaction-weighted row-hit rate.
     """
     if channels <= 1:
         result = service_timeline(merged, dram)
         return result.cycles, dict(result.stats), result.row_hit_rate
     cycles = 0
-    stats: dict[str, int] = {}
+    stats = dict(empty_timeline(dram).stats)
     hits = txns = 0
-    for channel in range(channels):
-        result = service_timeline(
-            merged[merged % channels == channel] // channels, dram
-        )
+    channel = merged % channels
+    order = np.argsort(channel, kind="stable")
+    channel = channel[order]
+    bounds = np.flatnonzero(channel[1:] != channel[:-1]) + 1
+    for part in np.split(merged[order] // channels, bounds):
+        result = service_timeline(part, dram)
         cycles = max(cycles, result.cycles)
         hits += result.row_hits
         txns += result.transactions
         for key, value in result.stats.items():
-            stats[key] = stats.get(key, 0) + value
+            stats[key] += value
     return cycles, stats, (hits / txns if txns else 0.0)
 
 
-def price_block_stream(
+def price_memory(
     blocks: np.ndarray,
     idx_txns: int,
-    config: AdapterConfig,
+    window: int | None,
     dram: DramConfig,
     prev: np.ndarray | None = None,
-    variant: str = "",
     channels: int = 1,
-) -> AdapterMetrics:
-    """Analytic pipeline timing of one wide-block request stream.
+) -> MemoryTerms:
+    """The memory side of :func:`price_block_stream`.
 
-    The one timing formula of the fast model: gather, scatter,
-    multi-channel and strided streams all price here.  ``blocks`` is the
-    wide-block id of every narrow request in stream order (``prev``, if
-    given, must be ``previous_occurrence(blocks)``), and ``idx_txns``
-    the stream's wide index fetches (0 for a strided burst).  The
-    blocks coalesce window-exactly (:func:`coalesce_window_exact`; the
-    coalescer-less variant issues one wide access per request), the
-    index blocks interleave into the DRAM stream, and the cycle count
-    is the slowest of request generation, watcher retirement, the DRAM
-    timeline, packing and the one wide issue port, plus
-    :data:`PIPELINE_FILL_CYCLES` and the stream-tail flush.
+    ``blocks`` coalesce window-exactly (:func:`coalesce_window_exact`;
+    ``window=None`` is the coalescer-less variant, one wide access per
+    request), ``idx_txns`` index fetches interleave into the element
+    transactions, and the merged stream runs through the bank-state
+    timeline of each of ``channels`` channels.  ``prev``, if given,
+    must be ``previous_occurrence(blocks)``.
     """
-    count = int(blocks.size)
+    if window is None:
+        elem_txns, warp_tags = int(blocks.size), blocks
+    else:
+        elem_txns, warp_tags = coalesce_window_exact(blocks, window, prev)
+    idx_blocks = np.arange(idx_txns, dtype=np.int64) + (1 << 22)  # separate region
+    dram_cycles, dram_stats, row_hit_rate = _channel_dram_cycles(
+        _interleave_streams(warp_tags, idx_blocks), dram, channels
+    )
+    return MemoryTerms(
+        elem_txns, idx_txns, channels, dram_cycles, dram_stats, row_hit_rate
+    )
+
+
+def price_variant(
+    count: int,
+    config: AdapterConfig,
+    dram: DramConfig,
+    memory: MemoryTerms,
+    variant: str = "",
+) -> AdapterMetrics:
+    """The per-variant formula of :func:`price_block_stream` over a
+    ``count``-request stream whose memory side is ``memory``.
+
+    The cycle count is the slowest of request generation, watcher
+    retirement, the DRAM timeline, packing and the one wide issue port,
+    plus :data:`PIPELINE_FILL_CYCLES` and the stream-tail flush; each
+    term lands in ``extras`` (``gen_cycles`` … ``tail_cycles``, with the
+    DRAM term as ``dram_bound_cycles``).
+    """
+    elem_txns, idx_txns, channels = memory.elem_txns, memory.idx_txns, memory.channels
     coalescer = config.coalescer
     if coalescer is None:
-        elem_txns, warp_tags = count, blocks
         # One wide issue per request through one port.
         gen_cycles, watcher_cycles, tail_cycles = count, 0, 0
     else:
-        elem_txns, warp_tags = coalesce_window_exact(blocks, coalescer.window, prev)
         watcher_cycles = elem_txns + ceil_div(count, coalescer.window)
         # SEQx serialises the upsizer input to one request per cycle;
         # the watcher and coalesce rate are identical to MLPx.
@@ -372,10 +458,7 @@ def price_block_stream(
         if count % coalescer.window:
             tail_cycles += coalescer.regulator_timeout
 
-    idx_blocks = np.arange(idx_txns, dtype=np.int64) + (1 << 22)  # separate region
-    dram_cycles, dram_walk, row_hit_rate = _channel_dram_cycles(
-        _interleave_streams(warp_tags, idx_blocks), dram, channels
-    )
+    dram_cycles = memory.dram_cycles
     pack_cycles = ceil_div(count, config.lanes)
     issue_cycles = elem_txns + idx_txns  # one wide request port
     cycles = (
@@ -394,17 +477,49 @@ def price_block_stream(
         element_bytes=config.element_bytes,
         access_bytes=dram.access_bytes,
         freq_hz=dram.freq_hz,
-        dram_stats=dram_walk,
+        dram_stats=dict(memory.dram_stats),
     )
-    metrics.extras["model"] = 1.0  # marker: fast model
-    metrics.extras["dram_bound_cycles"] = float(dram_cycles)
-    metrics.extras["dram_row_hit_rate"] = row_hit_rate
-    metrics.extras["dram_utilization"] = min(
+    extras = metrics.extras
+    extras["model"] = 1.0  # marker: fast model
+    extras["gen_cycles"] = float(gen_cycles)
+    extras["watcher_cycles"] = float(watcher_cycles)
+    extras["dram_bound_cycles"] = float(dram_cycles)
+    extras["pack_cycles"] = float(pack_cycles)
+    extras["issue_cycles"] = float(issue_cycles)
+    extras["fill_cycles"] = float(PIPELINE_FILL_CYCLES)
+    extras["tail_cycles"] = float(tail_cycles)
+    extras["dram_row_hit_rate"] = memory.row_hit_rate
+    extras["dram_utilization"] = min(
         1.0, (elem_txns + idx_txns) * dram.t_burst / (cycles * channels)
     )
     if channels > 1:
-        metrics.extras["channels"] = float(channels)
+        extras["channels"] = float(channels)
     return metrics
+
+
+def price_block_stream(
+    blocks: np.ndarray,
+    idx_txns: int,
+    config: AdapterConfig,
+    dram: DramConfig,
+    prev: np.ndarray | None = None,
+    variant: str = "",
+    channels: int = 1,
+) -> AdapterMetrics:
+    """Analytic pipeline timing of one wide-block request stream.
+
+    The one timing formula of the fast model: gather, scatter,
+    multi-channel and strided streams all price here.  ``blocks`` is the
+    wide-block id of every narrow request in stream order (``prev``, if
+    given, must be ``previous_occurrence(blocks)``), and ``idx_txns``
+    the stream's wide index fetches (0 for a strided burst).  The
+    memory side (:func:`price_memory`) coalesces the blocks and prices
+    the DRAM timeline; the per-variant formula (:func:`price_variant`)
+    returns ``max(gen, watcher, DRAM, pack, issue) + fill + tail``.
+    """
+    window = config.coalescer.window if config.has_coalescer else None
+    memory = price_memory(blocks, idx_txns, window, dram, prev, channels)
+    return price_variant(int(blocks.size), config, dram, memory, variant)
 
 
 def fast_indirect_stream(
@@ -419,10 +534,12 @@ def fast_indirect_stream(
     :func:`repro.axipack.adapter.run_indirect_stream`.
 
     Resolves the stream's wide blocks and index fetches and prices them
-    with :func:`price_block_stream`.  Pass ``analysis`` (from
-    :func:`analyze_stream`) when sweeping many variants over one stream
-    to amortise its previous-occurrence sort; a stale analysis (wrong
-    element geometry, length, or sampled stream content — see
+    as :func:`price_block_stream` does.  Pass ``analysis`` (from
+    :func:`analyze_stream`) when sweeping many variants over one stream:
+    it amortises the previous-occurrence sort, and its memo prices each
+    memory side once (:meth:`StreamAnalysis.memory_terms`), so only the
+    per-variant formula runs again.  A stale analysis (wrong element
+    geometry, length, or sampled stream content — see
     :func:`_analysis_matches`) falls back to recomputing.  ``channels >
     1`` prices a block-interleaved multi-channel memory
     (:class:`repro.mem.multichannel.MultiChannelMemory`), one bank-state
@@ -431,11 +548,14 @@ def fast_indirect_stream(
     dram = dram_config or DramConfig()
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     elements_per_block = dram.access_bytes // config.element_bytes
+    idx_txns = ceil_div(int(indices.size) * config.index_bytes, dram.access_bytes)
+    window = config.coalescer.window if config.has_coalescer else None
     if analysis is not None and _analysis_matches(
         analysis, indices, elements_per_block
     ):
-        blocks, prev = analysis.blocks, analysis.prev
+        memory = analysis.memory_terms(window, idx_txns, dram, channels)
     else:
-        blocks, prev = indices // elements_per_block, None
-    idx_txns = ceil_div(int(indices.size) * config.index_bytes, dram.access_bytes)
-    return price_block_stream(blocks, idx_txns, config, dram, prev, variant, channels)
+        memory = price_memory(
+            indices // elements_per_block, idx_txns, window, dram, channels=channels
+        )
+    return price_variant(int(indices.size), config, dram, memory, variant)

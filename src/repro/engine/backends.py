@@ -340,7 +340,7 @@ class MultiChannelBackend(AdapterBackend):
 
     def row(self, group_key, variant, metrics, dram) -> dict:
         kind, matrix, fmt, max_nnz, model = group_key
-        channels = int(metrics.extras.get("channels", 1.0))
+        channels = self.variant_setup(variant)[1]
         peak = channels * dram.peak_bandwidth_gbps
         return {
             "kind": kind,
@@ -396,6 +396,7 @@ class SystemBackend(SweepBackend):
         kind, matrix, fmt, max_nnz, model = group_key
         spec = get_spec(matrix)
         csr = cache.matrix(matrix, max_nnz)
+        sell = None  # built once, for the group's first pack system
         rows = []
         for system in variants:
             if system == "base":
@@ -404,9 +405,17 @@ class SystemBackend(SweepBackend):
                 )
             else:
                 variant = PACK_SYSTEMS.get(system, system)
-                result = PackSystem(variant, adapter_model=model, name=system).run(
-                    csr, matrix
-                )
+                pack = PackSystem(variant, adapter_model=model, name=system)
+                if sell is None:
+                    sell = csr.to_sell(32)
+                analysis = None
+                if model == "fast":
+                    # Fig. 3's SELL stream: its memory terms are shared.
+                    analysis = cache.analysis(
+                        matrix, "sell", max_nnz,
+                        pack.dram.access_bytes // pack.adapter_config.element_bytes,
+                    )
+                result = pack.run(sell, matrix, analysis=analysis)
             rows.append(
                 {
                     "kind": kind,

@@ -152,7 +152,8 @@ class TimelineResult:
         }
 
 
-def _empty_result(dram: DramConfig) -> TimelineResult:
+def empty_timeline(dram: DramConfig) -> TimelineResult:
+    """The replay of an empty stream: every counter zero."""
     return TimelineResult(
         cycles=0,
         activates=0,
@@ -191,7 +192,7 @@ def service_timeline(
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     n = int(blocks.size)
     if n == 0:
-        return _empty_result(dram)
+        return empty_timeline(dram)
 
     num_banks = dram.num_banks
     num_windows = -(-n // horizon)

@@ -6,7 +6,7 @@ generators in :mod:`repro.sparse.generators`.  ``get_matrix`` accepts a
 ``max_nnz`` budget: matrices larger than the budget are *scaled down* by
 reducing the row count while keeping row lengths and absolute column
 locality, which preserves the per-window coalescing statistics the
-adapter responds to (see DESIGN.md, "Model fidelity notes").
+adapter responds to (see README.md, "Model fidelity").
 
 Results are memoised per (name, max_nnz) because suite sweeps touch the
 same matrices repeatedly.

@@ -13,10 +13,10 @@ in one pass (:meth:`~repro.vpc.llc.LruCache.access_lines`).  Timing
 converts hit/miss counts into cycles with a limited-MLP miss overlap
 model.
 
-One fidelity note (see DESIGN.md): when suite matrices are scaled down
-for Python runtime, the LLC is scaled by the same factor so that the
-vector-to-cache size ratio — which decides the baseline's gather hit
-rate — matches the published configuration.
+One fidelity note (see README.md, "Model fidelity"): when suite
+matrices are scaled down for Python runtime, the LLC is scaled by the
+same factor so that the vector-to-cache size ratio — which decides the
+baseline's gather hit rate — matches the published configuration.
 """
 
 from __future__ import annotations

@@ -35,18 +35,53 @@ class LruCache:
 
     def access(self, addr: int) -> bool:
         """Touch one address; returns True on hit."""
-        return bool(self.access_lines([addr // self.line_bytes])[0])
+        line = addr // self.line_bytes
+        resident = self._sets[line & (self.num_sets - 1)]
+        if line in resident:
+            resident.remove(line)
+            resident.append(line)
+            self.stats.add("hits")
+            return True
+        resident.append(line)
+        self.stats.add("misses")
+        if len(resident) > self.ways:
+            del resident[0]
+            self.stats.add("evictions")
+        return False
 
     def access_lines(self, lines: np.ndarray | list[int]) -> np.ndarray:
         """Replay a trace of line ids in order; returns one hit flag
-        per access.  LRU update on hit, LRU eviction on miss."""
+        per access.  LRU update on hit, LRU eviction on miss.
+
+        An access whose set's previous access — in this trace, or the
+        set's most recent line before it — was the same line re-touches
+        the set's MRU line: a hit that changes no LRU state.  NumPy
+        marks those (one stable sort by set), and the per-access loop
+        replays only the rest, in trace order.
+        """
         lines = np.asarray(lines, dtype=np.int64)
         sets = self._sets
         set_mask = self.num_sets - 1
         ways = self.ways
-        flags = bytearray(len(lines))
+        set_ids = lines & set_mask
+        # NumPy's stable sort is a radix sort on 16-bit keys.
+        keys = set_ids.astype(np.uint16) if set_mask < 1 << 16 else set_ids
+        order = np.argsort(keys, kind="stable")
+        by_set = lines[order]
+        # Equal lines share a set, so equal neighbours in set order are
+        # one set's consecutive accesses to one line.
+        retouch = np.zeros(len(lines), dtype=bool)
+        retouch[order[1:]] = by_set[1:] == by_set[:-1]
+        # Each set's first access here follows the set's MRU line.
+        starts = np.flatnonzero(np.diff(set_ids[order], prepend=-1))
+        for start, line in zip(order[starts].tolist(), by_set[starts].tolist()):
+            resident = sets[line & set_mask]
+            if resident and resident[-1] == line:
+                retouch[start] = True
+        rest = np.flatnonzero(~retouch)
+        flags = bytearray(len(rest))
         evictions = 0
-        for i, line in enumerate(lines.tolist()):
+        for i, line in enumerate(lines[rest].tolist()):
             resident = sets[line & set_mask]
             if line in resident:
                 resident.remove(line)
@@ -57,7 +92,8 @@ class LruCache:
                 if len(resident) > ways:
                     del resident[0]
                     evictions += 1
-        hit = np.frombuffer(flags, dtype=bool)
+        hit = retouch
+        hit[rest] = np.frombuffer(flags, dtype=bool)
         hits = int(np.count_nonzero(hit))
         # A StatSet key appears on its first add, so add only counts
         # that happened, as one access at a time would.

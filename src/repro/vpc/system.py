@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..axipack import fast_indirect_stream, run_indirect_stream
+from ..axipack import StreamAnalysis, fast_indirect_stream, run_indirect_stream
 from ..axipack.metrics import AdapterMetrics
 from ..config import AdapterConfig, DramConfig, VpcConfig, variant_config
 from ..errors import ExperimentError
@@ -67,8 +67,16 @@ class PackSystem:
 
     # -- adapter invocation ---------------------------------------------------
 
-    def stream_metrics(self, indices: np.ndarray) -> AdapterMetrics:
-        """Adapter metrics for the matrix's whole indirect stream."""
+    def stream_metrics(
+        self, indices: np.ndarray, analysis: StreamAnalysis | None = None
+    ) -> AdapterMetrics:
+        """Adapter metrics for the matrix's whole indirect stream.
+
+        The fast model prices with ``analysis`` (the stream's
+        :class:`~repro.axipack.fastmodel.StreamAnalysis`) when given, so
+        it shares the memory terms other sweeps priced over the same
+        stream; the cycle model ignores it.
+        """
         if self.adapter_model == "cycle":
             return run_indirect_stream(
                 indices,
@@ -78,16 +86,26 @@ class PackSystem:
                 engine=self.engine,
             )
         return fast_indirect_stream(
-            indices, self.adapter_config, self.dram, variant=self.adapter_label
+            indices, self.adapter_config, self.dram, variant=self.adapter_label,
+            analysis=analysis,
         )
 
     # -- end-to-end SpMV ----------------------------------------------------------
 
-    def run(self, matrix: CsrMatrix | SellMatrix, matrix_name: str = "") -> SpmvRunResult:
-        """Execute one tiled SELL SpMV and report timing and traffic."""
+    def run(
+        self,
+        matrix: CsrMatrix | SellMatrix,
+        matrix_name: str = "",
+        analysis: StreamAnalysis | None = None,
+    ) -> SpmvRunResult:
+        """Execute one tiled SELL SpMV and report timing and traffic.
+
+        ``analysis``, if given, is the analysis of the SELL-32 index
+        stream, passed on to :meth:`stream_metrics`.
+        """
         sell = matrix if isinstance(matrix, SellMatrix) else matrix.to_sell(32)
         indices = sell.index_stream()
-        metrics = self.stream_metrics(indices)
+        metrics = self.stream_metrics(indices, analysis)
 
         footprint = sell.footprint_bytes()
         result_bytes = 8 * sell.nrows

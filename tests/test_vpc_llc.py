@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.axipack.reference import baseline_llc_reference
@@ -116,6 +116,40 @@ def test_access_lines_matches_per_access_replay(num_sets, ways, trace, split):
     assert hit.dtype == bool
     assert hit.tolist() == flags == _textbook_lru(num_sets, ways, trace)
     assert one_pass.stats.as_dict() == per_access.stats.as_dict()
+
+
+@given(
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([1, 2, 4]),
+    st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(0, 3), min_size=1, max_size=30),
+    st.lists(st.lists(st.integers(0, 3), max_size=30), min_size=1, max_size=5),
+)
+# A set whose first access in the second call is its LRU line.
+@example(num_sets=2, ways=2, alphabet=[0, 2, 1], first=[0, 1, 2], more=[[0]])
+@settings(max_examples=150, deadline=None)
+def test_access_lines_skips_mru_retouches_exactly(
+    num_sets, ways, alphabet, first, more
+):
+    """Traces over a 1-4-line alphabet are mostly re-touches of a set's
+    MRU line.  The trace is replayed in 2-6 calls, and each call after
+    the first opens on the previous call's last line, the MRU line of
+    its set; other sets may open on a resident line that is not their
+    MRU.  Flags, stats and set contents must match after every call."""
+    calls = [[alphabet[i % len(alphabet)] for i in first]]
+    for picks in more:
+        calls.append([calls[-1][-1], *(alphabet[i % len(alphabet)] for i in picks)])
+    one_pass = LruCache(num_sets * ways * 64, ways=ways)
+    per_access = LruCache(num_sets * ways * 64, ways=ways)
+    hits = []
+    for call in calls:
+        hit = one_pass.access_lines(call)
+        assert hit.dtype == bool
+        assert hit.tolist() == [per_access.access(line * 64) for line in call]
+        assert one_pass.stats.as_dict() == per_access.stats.as_dict()
+        assert one_pass._sets == per_access._sets
+        hits += hit.tolist()
+    assert hits == _textbook_lru(num_sets, ways, [x for call in calls for x in call])
 
 
 @pytest.mark.parametrize("name", list_matrices() + ["no-nonzeros"])

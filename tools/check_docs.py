@@ -3,7 +3,7 @@
 
 Usage::
 
-    python tools/check_docs.py README.md ARCHITECTURE.md EXPERIMENTS.md
+    python tools/check_docs.py README.md ARCHITECTURE.md EXPERIMENTS.md ROADMAP.md
 
 For every ``[text](target)`` in the given files:
 
