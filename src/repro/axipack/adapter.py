@@ -29,12 +29,25 @@ from ..sim.fifo import Fifo
 from .burst import IndirectBurst
 from .coalescer import RequestCoalescer
 from .direct_path import DirectElementPath
-from .element_request_gen import ElementRequestGen
+from .element_request_gen import ElementRequestGen, LaneIndices
 from .index_fetcher import ELEMENT_AXI_ID, INDEX_AXI_ID, IndexFetcher
 from .index_splitter import IndexSplitter
 from .metrics import AdapterMetrics
 from .packer import ElementPacker
 from .arbiter import Arbiter
+
+
+def element_path(
+    config: AdapterConfig,
+    dram_config: DramConfig,
+    elem_req: Fifo[MemRequest],
+    elem_rsp: Fifo[MemResponse],
+) -> RequestCoalescer | DirectElementPath:
+    """The element read path ``config`` names: the request coalescer,
+    or the direct path of the coalescer-less variant (the gather's and
+    the strided burst's)."""
+    path = RequestCoalescer if config.has_coalescer else DirectElementPath
+    return path(config, dram_config, elem_req, elem_rsp)
 
 
 class IndirectStreamUnit(Wiring):
@@ -65,25 +78,17 @@ class IndirectStreamUnit(Wiring):
         # The five adapter blocks (Fig. 2a).
         self.fetcher = IndexFetcher(config, dram_config, self.idx_req)
         self.splitter = IndexSplitter(config, self.fetcher, self.idx_rsp)
-        if config.has_coalescer:
-            self.element_path: RequestCoalescer | DirectElementPath = (
-                RequestCoalescer(config, dram_config, self.elem_req, self.elem_rsp)
-            )
-            assert config.coalescer is not None
-            mode = (
-                ElementRequestGen.MODE_PARALLEL
-                if config.coalescer.parallel
-                else ElementRequestGen.MODE_SEQUENTIAL
-            )
-        else:
-            self.element_path = DirectElementPath(
-                config, dram_config, self.elem_req, self.elem_rsp
-            )
-            mode = ElementRequestGen.MODE_ORDERED
-        self.request_gen = ElementRequestGen(
-            config, self.splitter, self.fetcher, burst, self.element_path, mode
+        self.element_path = element_path(
+            config, dram_config, self.elem_req, self.elem_rsp
         )
-        self.packer = ElementPacker(config, burst, self.element_path.lane_out)
+        self.request_gen = ElementRequestGen(
+            config,
+            LaneIndices(self.splitter, self.fetcher, burst),
+            burst.count,
+            self.element_path,
+            ElementRequestGen.mode_for(config),
+        )
+        self.packer = ElementPacker(config, burst.count, self.element_path.lane_out)
         self.arbiter = Arbiter([self.idx_req, self.elem_req], mem_req)
 
         self.fetcher.bursts.push(burst)

@@ -15,11 +15,12 @@ comparison per request against the window's first position — and the
 carry across window swaps collapses into a prefix scan over the
 windows (:func:`resolve_window_carry`).
 
-One function, :func:`price_block_stream`, prices every fast path: the
-gather (:func:`fast_indirect_stream`, also over several channels), the
-scatter (:func:`repro.axipack.scatter.fast_indirect_scatter`) and the
-strided burst (:func:`repro.axipack.strided.fast_strided_stream`, with
-no index fetches).  Its bottlenecks are:
+Every fast path prices through the same two functions,
+:func:`price_memory` and :func:`price_variant`: the gather
+(:func:`fast_indirect_stream`, also over several channels), the scatter
+(:func:`repro.axipack.scatter.fast_indirect_scatter`) and the strided
+burst (:func:`repro.axipack.strided.fast_strided_stream`, with no index
+fetches).  The bottlenecks are:
 
 * narrow request generation (N per cycle, or 1 for the sequential
   variant's upsizer) and element packing (N per cycle),
@@ -403,9 +404,10 @@ def price_memory(
     prev: np.ndarray | None = None,
     channels: int = 1,
 ) -> MemoryTerms:
-    """The memory side of :func:`price_block_stream`.
+    """The memory side of a wide-block request stream's pricing.
 
-    ``blocks`` coalesce window-exactly (:func:`coalesce_window_exact`;
+    ``blocks`` (the wide-block id of every narrow request, in stream
+    order) coalesce window-exactly (:func:`coalesce_window_exact`;
     ``window=None`` is the coalescer-less variant, one wide access per
     request), ``idx_txns`` index fetches interleave into the element
     transactions, and the merged stream runs through the bank-state
@@ -432,8 +434,8 @@ def price_variant(
     memory: MemoryTerms,
     variant: str = "",
 ) -> AdapterMetrics:
-    """The per-variant formula of :func:`price_block_stream` over a
-    ``count``-request stream whose memory side is ``memory``.
+    """The fast model's one timing formula, over a ``count``-request
+    stream whose memory side is ``memory`` (:func:`price_memory`).
 
     The cycle count is the slowest of request generation, watcher
     retirement, the DRAM timeline, packing and the one wide issue port,
@@ -497,31 +499,6 @@ def price_variant(
     return metrics
 
 
-def price_block_stream(
-    blocks: np.ndarray,
-    idx_txns: int,
-    config: AdapterConfig,
-    dram: DramConfig,
-    prev: np.ndarray | None = None,
-    variant: str = "",
-    channels: int = 1,
-) -> AdapterMetrics:
-    """Analytic pipeline timing of one wide-block request stream.
-
-    The one timing formula of the fast model: gather, scatter,
-    multi-channel and strided streams all price here.  ``blocks`` is the
-    wide-block id of every narrow request in stream order (``prev``, if
-    given, must be ``previous_occurrence(blocks)``), and ``idx_txns``
-    the stream's wide index fetches (0 for a strided burst).  The
-    memory side (:func:`price_memory`) coalesces the blocks and prices
-    the DRAM timeline; the per-variant formula (:func:`price_variant`)
-    returns ``max(gen, watcher, DRAM, pack, issue) + fill + tail``.
-    """
-    window = config.coalescer.window if config.has_coalescer else None
-    memory = price_memory(blocks, idx_txns, window, dram, prev, channels)
-    return price_variant(int(blocks.size), config, dram, memory, variant)
-
-
 def fast_indirect_stream(
     indices: np.ndarray,
     config: AdapterConfig,
@@ -534,11 +511,12 @@ def fast_indirect_stream(
     :func:`repro.axipack.adapter.run_indirect_stream`.
 
     Resolves the stream's wide blocks and index fetches and prices them
-    as :func:`price_block_stream` does.  Pass ``analysis`` (from
-    :func:`analyze_stream`) when sweeping many variants over one stream:
-    it amortises the previous-occurrence sort, and its memo prices each
-    memory side once (:meth:`StreamAnalysis.memory_terms`), so only the
-    per-variant formula runs again.  A stale analysis (wrong element
+    with :func:`price_memory` and :func:`price_variant`.  Pass
+    ``analysis`` (from :func:`analyze_stream`) when sweeping many
+    variants over one stream: it amortises the previous-occurrence sort,
+    and its memo prices each memory side once
+    (:meth:`StreamAnalysis.memory_terms`), so only the per-variant
+    formula runs again.  A stale analysis (wrong element
     geometry, length, or sampled stream content — see
     :func:`_analysis_matches`) falls back to recomputing.  ``channels >
     1`` prices a block-interleaved multi-channel memory

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..config import AdapterConfig
 from ..sim.component import Component
 from ..sim.fifo import Fifo
-from .burst import IndirectBurst
 
 
 class ElementPacker(Component):
@@ -20,13 +19,13 @@ class ElementPacker(Component):
     def __init__(
         self,
         config: AdapterConfig,
-        burst: IndirectBurst,
+        count: int,
         lane_out: list[Fifo[float]],
         name: str = "packer",
     ) -> None:
         super().__init__(name)
         self.config = config
-        self.burst = burst
+        self.count = count
         self.lane_out = lane_out
         self.emitted = 0
         self.beats = 0
@@ -35,12 +34,12 @@ class ElementPacker(Component):
 
     @property
     def done(self) -> bool:
-        return self.emitted >= self.burst.count
+        return self.emitted >= self.count
 
     def tick(self) -> None:
         if self.done:
             return
-        needed = min(self.config.lanes, self.burst.count - self.emitted)
+        needed = min(self.config.lanes, self.count - self.emitted)
         if not all(self.lane_out[s].can_pop() for s in range(needed)):
             return
         for s in range(needed):
@@ -51,7 +50,7 @@ class ElementPacker(Component):
     def next_event(self) -> int | None:
         if self.done:
             return None
-        needed = min(self.config.lanes, self.burst.count - self.emitted)
+        needed = min(self.config.lanes, self.count - self.emitted)
         if all(self.lane_out[s].can_pop() for s in range(needed)):
             return self.cycle
         return None

@@ -40,7 +40,7 @@ from ..sim.fifo import Fifo
 from .arbiter import Arbiter
 from .burst import IndirectBurst
 from .coalescer import WindowCoalescer
-from .element_request_gen import ElementRequestGen
+from .element_request_gen import ElementRequestGen, LaneIndices
 from .fastmodel import StreamAnalysis, fast_indirect_stream
 from .index_fetcher import INDEX_AXI_ID, IndexFetcher
 from .index_splitter import IndexSplitter
@@ -179,13 +179,13 @@ def run_indirect_scatter(
     fetcher = IndexFetcher(config, dram_config, idx_req)
     splitter = IndexSplitter(config, fetcher, idx_rsp)
     coalescer = WriteCoalescer(config, dram_config, values, write_req, write_rsp)
-    assert config.coalescer is not None
-    mode = (
-        ElementRequestGen.MODE_PARALLEL
-        if config.coalescer.parallel
-        else ElementRequestGen.MODE_SEQUENTIAL
+    gen = ElementRequestGen(
+        config,
+        LaneIndices(splitter, fetcher, burst),
+        burst.count,
+        coalescer,
+        ElementRequestGen.mode_for(config),
     )
-    gen = ElementRequestGen(config, splitter, fetcher, burst, coalescer, mode)
     arbiter = Arbiter([idx_req, write_req], reorder.req)
     fetcher.bursts.push(burst)
 
@@ -232,8 +232,8 @@ def fast_indirect_scatter(
     exactly as :func:`repro.axipack.fastmodel.fast_indirect_stream`
     does, and a sweep shares one ``analysis``
     (:func:`repro.axipack.fastmodel.analyze_stream`) across gather and
-    scatter variants (the engine's ``scatter`` backend passes its cached
-    analysis here).
+    scatter variants (the engine's ``scatter`` backend prices its rows
+    through the gather's path with the cached analysis).
     """
     config = config or AdapterConfig()
     if config.coalescer is None:

@@ -6,19 +6,22 @@ AXI-Pack defines bursts of *strided* as well as indirect accesses
 it benefits from the very same request coalescer: consecutive elements
 share wide blocks and must not each cost a full 512 b access.
 
-This module adds the strided address generator and a runner mirroring
-:func:`repro.axipack.adapter.run_indirect_stream`, which checks every
-packed element against the backing word its address falls in.  The
-element path (coalescer / direct), packer, reorder front and DRAM are
-exactly the shared components.  The fast-model counterpart prices the
-burst's wide blocks through the gather's pipeline formula
-(:func:`repro.axipack.fastmodel.price_block_stream`) with no index
-fetches.
+The burst is its own address source for the element request
+generator the gather and the scatter use
+(:class:`~repro.axipack.element_request_gen.ElementRequestGen`), and the
+runner mirrors :func:`repro.axipack.adapter.run_indirect_stream`,
+checking every packed element against the backing word its address
+falls in.  The element path (coalescer / direct), packer, reorder front
+and DRAM are exactly the shared components.  The fast-model counterpart
+prices the burst's wide blocks as the gather does, through
+:func:`repro.axipack.fastmodel.price_memory` and
+:func:`repro.axipack.fastmodel.price_variant`, with no index fetches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -29,14 +32,12 @@ from ..mem.dram import DramChannel
 from ..mem.reorder import ReorderBuffer
 from ..mem.request import MemRequest, MemResponse
 from ..sim.clock import Simulator, default_engine
-from ..sim.component import Component, Wiring
+from ..sim.component import Wiring
 from ..sim.fifo import Fifo
+from .adapter import element_path
 from .arbiter import Arbiter
-from .burst import NarrowRequest
-from .coalescer import RequestCoalescer
-from .direct_path import DirectElementPath
-from .element_request_gen import RequestSink
-from .fastmodel import price_block_stream
+from .element_request_gen import ElementRequestGen
+from .fastmodel import price_memory, price_variant
 from .index_fetcher import ELEMENT_AXI_ID
 from .metrics import AdapterMetrics
 from .packer import ElementPacker
@@ -68,91 +69,23 @@ class StridedBurst:
     def address_of(self, j: int) -> int:
         return self.base + j * self.stride_bytes
 
-    @property
-    def effective_bytes(self) -> int:
-        return self.count * self.element_bytes
+    # -- address source of the element request generator: no index
+    # stream, so every lane is always ready.
 
+    def lane_ready(self, lanes: int) -> list[Callable[[], bool]]:
+        return [lambda: True] * lanes
 
-class StridedRequestGen(Component):
-    """Generates up to N strided narrow requests per cycle (no index
-    stream, hence no index queues or credits)."""
+    def take(self, lane: int, seq: int) -> int:
+        return self.address_of(seq)
 
-    def __init__(
-        self,
-        config: AdapterConfig,
-        burst: StridedBurst,
-        sink: RequestSink,
-        ordered: bool = False,
-        name: str = "stride_gen",
-    ) -> None:
-        super().__init__(name)
-        self.config = config
-        self.burst = burst
-        self.sink = sink
-        self.ordered = ordered
-        self._cursor = 0
-        self._lane_counts = [0] * config.lanes
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.burst.count
-
-    @property
-    def generated(self) -> int:
-        if self.ordered:
-            return self._cursor
-        return sum(self._lane_counts)
-
-    def tick(self) -> None:
-        if self.ordered:
-            self._tick_ordered()
-        else:
-            self._tick_parallel()
-
-    def _request(self, lane: int, seq: int) -> NarrowRequest:
-        return NarrowRequest(seq=seq, lane=lane, addr=self.burst.address_of(seq))
-
-    def _tick_parallel(self) -> None:
-        lanes = self.config.lanes
-        for lane in range(lanes):
-            seq = self._lane_counts[lane] * lanes + lane
-            if seq >= self.burst.count or not self.sink.can_accept(seq):
-                continue
-            self.sink.accept(self._request(lane, seq))
-            self._lane_counts[lane] += 1
-
-    def _tick_ordered(self) -> None:
-        for _ in range(self.config.lanes):
-            if self._cursor >= self.burst.count:
-                return
-            if not self.sink.can_accept(self._cursor):
-                return
-            self.sink.accept(self._request(self._cursor % self.config.lanes,
-                                           self._cursor))
-            self._cursor += 1
-
-    def next_event(self) -> int | None:
-        if self.done:
-            return None
-        if self.ordered:
-            return self.cycle if self.sink.can_accept(self._cursor) else None
-        lanes = self.config.lanes
-        for lane in range(lanes):
-            seq = self._lane_counts[lane] * lanes + lane
-            if seq < self.burst.count and self.sink.can_accept(seq):
-                return self.cycle
-        return None
-
-    def watches(self) -> list:
-        return list(self.sink.accept_watches())
+    def ready_watches(self) -> list:
+        return []
 
 
 def run_strided_stream(
-    burst: StridedBurst | None = None,
+    burst: StridedBurst,
     config: AdapterConfig | None = None,
     dram_config: DramConfig | None = None,
-    count: int = 1024,
-    stride_bytes: int = 16,
     verify: bool = True,
     max_cycles: int = 100_000_000,
     engine: str | None = None,
@@ -162,8 +95,6 @@ def run_strided_stream(
     (both bit-exact; default :func:`~repro.sim.clock.default_engine`)."""
     config = config or AdapterConfig()
     dram_config = dram_config or DramConfig()
-    if burst is None:
-        burst = StridedBurst(base=0, count=count, stride_bytes=stride_bytes)
 
     span = burst.address_of(burst.count - 1) + burst.element_bytes
     store = BackingStore(span + (1 << 12))
@@ -179,25 +110,14 @@ def run_strided_stream(
     elem_rsp: Fifo[MemResponse] = container.make_fifo(None, "elem_rsp")
     sinks[ELEMENT_AXI_ID] = elem_rsp
 
-    if config.has_coalescer:
-        path: RequestCoalescer | DirectElementPath = RequestCoalescer(
-            config, dram_config, elem_req, elem_rsp
-        )
-        assert config.coalescer is not None
-        ordered = not config.coalescer.parallel
-    else:
-        path = DirectElementPath(config, dram_config, elem_req, elem_rsp)
-        ordered = True
-    gen = StridedRequestGen(config, burst, path, ordered=ordered)
-
-    from .burst import IndirectBurst
-
-    packer = ElementPacker(
-        config,
-        IndirectBurst(index_base=0, count=burst.count, element_base=0,
-                      element_bytes=burst.element_bytes),
-        path.lane_out,
-    )
+    path = element_path(config, dram_config, elem_req, elem_rsp)
+    mode = ElementRequestGen.mode_for(config)
+    # Unlike the gather, a strided burst feeds a SEQx coalescer up to N
+    # requests a cycle; the fast model's generation term assumes one.
+    if mode == ElementRequestGen.MODE_SEQUENTIAL:
+        mode = ElementRequestGen.MODE_ORDERED
+    gen = ElementRequestGen(config, burst, burst.count, path, mode, name="stride_gen")
+    packer = ElementPacker(config, burst.count, path.lane_out)
     arbiter = Arbiter([elem_req], reorder.req)
 
     sim = Simulator([container, gen, path, packer, arbiter, reorder, memory],
@@ -230,13 +150,14 @@ def fast_strided_stream(
     dram_config: DramConfig | None = None,
 ) -> AdapterMetrics:
     """Analytic counterpart of :func:`run_strided_stream`: the burst's
-    wide blocks priced by
-    :func:`repro.axipack.fastmodel.price_block_stream` with no index
+    wide blocks priced as the gather's are, by
+    :func:`repro.axipack.fastmodel.price_memory` and
+    :func:`repro.axipack.fastmodel.price_variant`, with no index
     transactions."""
     config = config or AdapterConfig()
     dram = dram_config or DramConfig()
     addrs = burst.base + np.arange(burst.count, dtype=np.int64) * burst.stride_bytes
-    metrics = price_block_stream(
-        addrs // dram.access_bytes, 0, config, dram, variant="strided"
-    )
+    window = config.coalescer.window if config.has_coalescer else None
+    memory = price_memory(addrs // dram.access_bytes, 0, window, dram)
+    metrics = price_variant(burst.count, config, dram, memory, variant="strided")
     return replace(metrics, element_bytes=burst.element_bytes)

@@ -39,7 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..axipack import fast_indirect_stream, run_indirect_stream
+from ..axipack import (
+    fast_indirect_stream,
+    run_indirect_scatter,
+    run_indirect_stream,
+)
 from ..axipack.metrics import AdapterMetrics
 from ..config import AdapterConfig, DramConfig, variant_config
 from ..errors import ConfigError, ExperimentError
@@ -235,7 +239,7 @@ def index_stream_kinds() -> tuple[str, ...]:
     return tuple(kind for kind, backend in _REGISTRY.items() if backend.index_stream)
 
 
-# -- adapter (and multichannel) backends ------------------------------------
+# -- adapter (multichannel, scatter) backends --------------------------------
 
 
 class AdapterBackend(SweepBackend):
@@ -248,24 +252,27 @@ class AdapterBackend(SweepBackend):
         "matrix", "variant", "indir_gbps", "coal_rate", "elem_txns", "cycles",
     )
 
-    # hooks the multichannel backend overrides -----------------------------
+    # hooks the multichannel and scatter backends override ------------------
 
     def variant_setup(self, variant: str) -> tuple[AdapterConfig, int]:
         """(adapter config, memory channel count) for one variant."""
         return variant_config(variant), 1
 
+    def run_cycle(
+        self, indices: np.ndarray, config: AdapterConfig, dram: DramConfig,
+        variant: str, channels: int,
+    ) -> AdapterMetrics:
+        """One variant's row metrics on the cycle model."""
+        return run_indirect_stream(
+            indices, config, dram, variant=variant, channels=channels
+        )
+
     def row(
         self, group_key: tuple, variant: str, metrics: AdapterMetrics,
         dram: DramConfig,
     ) -> dict:
-        kind, matrix, fmt, max_nnz, model = group_key
         return {
-            "kind": kind,
-            "matrix": matrix,
-            "format": fmt,
-            "variant": variant,
-            "model": model,
-            "max_nnz": max_nnz,
+            **self.point_columns(group_key, variant),
             "count": metrics.count,
             "cycles": metrics.cycles,
             "idx_txns": metrics.idx_txns,
@@ -275,6 +282,16 @@ class AdapterBackend(SweepBackend):
             "index_gbps": metrics.idx_bw_gbps,
             "loss_gbps": metrics.loss_gbps(dram),
             "coal_rate": metrics.coalesce_rate,
+        }
+
+    @staticmethod
+    def point_columns(group_key: tuple, variant: str) -> dict:
+        """The columns naming a row's design point, first in every row
+        of this backend and its subclasses."""
+        kind, matrix, fmt, max_nnz, model = group_key
+        return {
+            "kind": kind, "matrix": matrix, "format": fmt, "variant": variant,
+            "model": model, "max_nnz": max_nnz,
         }
 
     # ----------------------------------------------------------------------
@@ -292,9 +309,7 @@ class AdapterBackend(SweepBackend):
         for variant in variants:
             config, channels = self.variant_setup(variant)
             if model == "cycle":
-                metrics = run_indirect_stream(
-                    indices, config, dram, variant=variant, channels=channels
-                )
+                metrics = self.run_cycle(indices, config, dram, variant, channels)
             else:
                 analysis = cache.analysis(
                     matrix, fmt, max_nnz, dram.access_bytes // config.element_bytes
@@ -339,16 +354,10 @@ class MultiChannelBackend(AdapterBackend):
         return variant_config("MLP256"), channels
 
     def row(self, group_key, variant, metrics, dram) -> dict:
-        kind, matrix, fmt, max_nnz, model = group_key
         channels = self.variant_setup(variant)[1]
         peak = channels * dram.peak_bandwidth_gbps
         return {
-            "kind": kind,
-            "matrix": matrix,
-            "format": fmt,
-            "variant": variant,
-            "model": model,
-            "max_nnz": max_nnz,
+            **self.point_columns(group_key, variant),
             "channels": channels,
             "count": metrics.count,
             "cycles": metrics.cycles,
@@ -436,8 +445,15 @@ class SystemBackend(SweepBackend):
 # -- scatter backend --------------------------------------------------------
 
 
-class ScatterBackend(SweepBackend):
-    """Indirect write (scatter) sweeps through the write coalescer."""
+class ScatterBackend(AdapterBackend):
+    """Indirect write (scatter) sweeps through the write coalescer.
+
+    The adapter backend with the write path on the cycle model
+    (:func:`~repro.axipack.scatter.run_indirect_scatter`); the fast
+    model prices a scatter as the gather over the same stream, so the
+    fast path and the cached analysis are the adapter backend's.  Only
+    the coalescer requirement and the row schema differ.
+    """
 
     kind = SCATTER_KIND
     display_columns = (
@@ -445,50 +461,28 @@ class ScatterBackend(SweepBackend):
         "cycles",
     )
 
-    def check_variant(self, variant: str) -> None:
-        if not variant_config(variant).has_coalescer:
+    def variant_setup(self, variant: str) -> tuple[AdapterConfig, int]:
+        config = variant_config(variant)
+        if not config.has_coalescer:
             raise ExperimentError(
                 f"the scatter path requires a coalescer; {variant!r} has none"
             )
+        return config, 1
 
-    def run_group(
-        self, group_key: tuple, variants: tuple[str, ...], cache: AnalysisCache
-    ) -> list[dict]:
-        from ..axipack.scatter import fast_indirect_scatter, run_indirect_scatter
+    def run_cycle(self, indices, config, dram, variant, channels) -> AdapterMetrics:
+        values = np.arange(indices.size, dtype=np.float64)
+        return run_indirect_scatter(indices, values, config, dram)
 
-        kind, matrix, fmt, max_nnz, model = group_key
-        dram = DramConfig()
-        indices = cache.stream(matrix, fmt, max_nnz)
-        rows = []
-        for variant in variants:
-            config = variant_config(variant)
-            if model == "cycle":
-                values = np.arange(indices.size, dtype=np.float64)
-                metrics = run_indirect_scatter(indices, values, config, dram)
-            else:
-                analysis = cache.analysis(
-                    matrix, fmt, max_nnz, dram.access_bytes // config.element_bytes
-                )
-                metrics = fast_indirect_scatter(
-                    indices, config, dram, analysis=analysis
-                )
-            rows.append(
-                {
-                    "kind": kind,
-                    "matrix": matrix,
-                    "format": fmt,
-                    "variant": variant,
-                    "model": model,
-                    "max_nnz": max_nnz,
-                    "count": metrics.count,
-                    "cycles": metrics.cycles,
-                    "idx_txns": metrics.idx_txns,
-                    "wide_writes": metrics.elem_txns,
-                    "scatter_gbps": metrics.indirect_bw_gbps,
-                    "coal_rate": metrics.coalesce_rate,
-                }
-            )
-        return rows
+    def row(self, group_key, variant, metrics, dram) -> dict:
+        return {
+            **self.point_columns(group_key, variant),
+            "count": metrics.count,
+            "cycles": metrics.cycles,
+            "idx_txns": metrics.idx_txns,
+            "wide_writes": metrics.elem_txns,
+            "scatter_gbps": metrics.indirect_bw_gbps,
+            "coal_rate": metrics.coalesce_rate,
+        }
 
 
 # -- strided backend --------------------------------------------------------

@@ -64,10 +64,8 @@ __all__ = [
 
 def worker_config() -> dict:
     """Snapshot the telemetry state a pool worker should inherit."""
-    tracer = trace.get_tracer()
     return {
-        "trace": tracer is not None,
-        "sample": tracer.sample if tracer is not None else 1.0,
+        "trace": trace.active(),
         "profile": profiler.active() is not None,
     }
 
@@ -80,7 +78,7 @@ def seed_worker(config: dict) -> None:
     NDJSON file handle) and profiler, and both must be replaced with
     worker-local state.
     """
-    trace.seed_worker(config.get("trace", False), config.get("sample", 1.0))
+    trace.seed_worker(config.get("trace", False))
     if config.get("profile", False):
         profiler.enable()
     else:
@@ -102,7 +100,7 @@ def drain_worker_telemetry() -> tuple[list[dict], dict]:
 
 
 @contextlib.contextmanager
-def tracing(path, root: str = "cli", sample: float = 1.0, **attrs):
+def tracing(path, root: str = "cli", **attrs):
     """Trace a CLI command into an NDJSON file.
 
     Configures the global tracer on ``path``, enables the cycle
@@ -115,7 +113,7 @@ def tracing(path, root: str = "cli", sample: float = 1.0, **attrs):
     if path is None:
         yield None
         return
-    tracer = trace.configure(path, sample=sample)
+    tracer = trace.configure(path)
     cycles = profiler.enable()
     try:
         with trace.span(root, **attrs) as root_span:

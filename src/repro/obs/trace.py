@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextvars
 import json
 import os
-import random
 import threading
 import time
 import uuid
@@ -88,8 +87,7 @@ class _NullSpan:
     """The disabled-path span: every operation is a no-op.
 
     A single shared instance backs every ``span()`` call while tracing
-    is off (and sampled-out spans while it is on), so the disabled hot
-    path allocates nothing.
+    is off, so the disabled hot path allocates nothing.
     """
 
     __slots__ = ()
@@ -186,30 +184,14 @@ class CollectingSink:
 
 
 class Tracer:
-    """Span factory bound to one sink.
+    """Span factory bound to one sink."""
 
-    ``sample`` (0..1] keeps that fraction of *non-root* spans — a root
-    span (no live parent) is always recorded so every trace has a
-    timeline to attribute against.  Sampling is per-span, not
-    per-subtree: a sampled-out span's children re-parent to its nearest
-    recorded ancestor, keeping the tree connected.
-    """
-
-    def __init__(self, sink, sample: float = 1.0) -> None:
-        if not (0 < sample <= 1):
-            raise ValueError(f"sample must be in (0, 1], got {sample}")
+    def __init__(self, sink) -> None:
         self.sink = sink
-        self.sample = sample
         self.spans_written = 0
 
     def span(self, name: str, /, **attrs):
         parent: Span | None = _CURRENT.get()
-        if (
-            parent is not None
-            and self.sample < 1.0
-            and random.random() >= self.sample
-        ):
-            return NULL_SPAN
         if parent is not None and parent.span_id is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
         else:
@@ -235,7 +217,7 @@ class Tracer:
 # -- global configuration ---------------------------------------------------
 
 
-def configure(path_or_sink, sample: float = 1.0) -> Tracer:
+def configure(path_or_sink) -> Tracer:
     """Install the process-global tracer (NDJSON file path or sink)."""
     global _TRACER
     sink = (
@@ -243,7 +225,7 @@ def configure(path_or_sink, sample: float = 1.0) -> Tracer:
         if hasattr(path_or_sink, "write") and not isinstance(path_or_sink, (str, os.PathLike))
         else NdjsonSink(path_or_sink)
     )
-    _TRACER = Tracer(sink, sample=sample)
+    _TRACER = Tracer(sink)
     return _TRACER
 
 
@@ -290,7 +272,7 @@ def current_trace_id() -> str | None:
 # -- cross-process propagation ---------------------------------------------
 
 
-def seed_worker(enabled: bool, sample: float = 1.0) -> None:
+def seed_worker(enabled: bool) -> None:
     """Pool-worker initializer: replace any forked tracer state.
 
     With ``enabled`` the worker traces into a :class:`CollectingSink`
@@ -301,7 +283,7 @@ def seed_worker(enabled: bool, sample: float = 1.0) -> None:
     global _TRACER, _IN_WORKER
     _IN_WORKER = True
     _CURRENT.set(None)
-    _TRACER = Tracer(CollectingSink(), sample=sample) if enabled else None
+    _TRACER = Tracer(CollectingSink()) if enabled else None
 
 
 def in_worker() -> bool:

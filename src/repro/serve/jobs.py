@@ -138,7 +138,9 @@ class JobManager:
         source except a freshly computed sweep (whose groups land in
         completion order; each row is self-describing).  Raises
         :class:`~repro.errors.ReproError` subclasses on bad requests
-        or failed computations, after counting the error.
+        or failed computations, after counting the error; any other
+        exception is counted too, and its traceback logged at warning
+        level, so a front end can answer it and keep serving.
 
         With tracing enabled the whole request runs under a
         ``serve.request`` span whose trace id is echoed in the
@@ -163,9 +165,11 @@ class JobManager:
                     ):
                         event = {**event, "trace": trace_id}
                     yield event
-            except ReproError:
+            except Exception as exc:
                 with self._lock:
                     self.stats["errors"] += 1
+                if not isinstance(exc, ReproError):
+                    logger.warning("request failed: %r", exc, exc_info=True)
                 raise
             finally:
                 obs_metrics.get_registry().observe(

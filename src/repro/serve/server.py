@@ -19,7 +19,10 @@ Both front ends speak the same NDJSON event stream over one
 Errors in either front end become ``{"event": "error", ...}``
 responses (HTTP status 400 for malformed requests, 413 for a body over
 :data:`MAX_BODY_BYTES`, 500 for computation failures); the server
-survives them.
+survives them.  An exception outside the
+:class:`~repro.errors.ReproError` taxonomy ends only its own request:
+its event names the exception class, and its traceback goes to the
+server log.
 """
 
 from __future__ import annotations
@@ -47,6 +50,14 @@ _BAD_JSON = (ValueError, RecursionError)
 
 def _dumps(event: dict) -> bytes:
     return (json.dumps(event, default=json_default) + "\n").encode()
+
+
+def _error_event(exc: Exception) -> dict:
+    """The ``error`` event of a failed request: a ``ReproError``'s
+    message, or only the class of any other exception."""
+    if isinstance(exc, ReproError):
+        return {"event": "error", "error": str(exc)}
+    return {"event": "error", "error": f"internal error: {type(exc).__name__}"}
 
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
@@ -128,8 +139,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         except ServeError as exc:
             self._respond_json(400, {"event": "error", "error": str(exc)})
             return
-        except ReproError as exc:
-            self._respond_json(500, {"event": "error", "error": str(exc)})
+        except Exception as exc:
+            self._respond_json(500, _error_event(exc))
             return
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
@@ -140,9 +151,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             for event in events:
                 self.wfile.write(_dumps(event))
                 self.wfile.flush()
-        except ReproError as exc:
+        except Exception as exc:
             # Headers are gone; the error becomes the stream's last event.
-            self.wfile.write(_dumps({"event": "error", "error": str(exc)}))
+            self.wfile.write(_dumps(_error_event(exc)))
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -249,8 +260,8 @@ def serve_stdio(manager: JobManager, inp=None, out=None) -> int:
             for event in manager.stream(payload):
                 emit(event)
             served += 1
-        except ReproError as exc:
-            emit({"event": "error", "error": str(exc)})
+        except Exception as exc:
+            emit(_error_event(exc))
     return served
 
 

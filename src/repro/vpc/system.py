@@ -40,7 +40,6 @@ class PackSystem:
         dram: DramConfig | None = None,
         adapter_model: str = "fast",
         name: str | None = None,
-        engine: str | None = None,
     ) -> None:
         if isinstance(adapter, str):
             self.adapter_label = adapter
@@ -51,9 +50,6 @@ class PackSystem:
         if adapter_model not in ("fast", "cycle"):
             raise ExperimentError("adapter_model must be 'fast' or 'cycle'")
         self.adapter_model = adapter_model
-        #: simulation engine for ``adapter_model="cycle"`` runs
-        #: (``"step"``/``"batched"``; None = default_engine()).
-        self.engine = engine
         self.vpc = vpc or VpcConfig()
         self.dram = dram or DramConfig()
         self.ara = AraTimingModel(self.vpc)
@@ -79,11 +75,7 @@ class PackSystem:
         """
         if self.adapter_model == "cycle":
             return run_indirect_stream(
-                indices,
-                self.adapter_config,
-                self.dram,
-                variant=self.adapter_label,
-                engine=self.engine,
+                indices, self.adapter_config, self.dram, variant=self.adapter_label
             )
         return fast_indirect_stream(
             indices, self.adapter_config, self.dram, variant=self.adapter_label,

@@ -11,8 +11,9 @@ permutation, heavy duplicates and an FEM-like band) and strided bursts
 of 1,500 elements.  The cycle-model pins run on the default engine, so
 the step-engine CI canary re-checks them on the oracle.  The
 ``fast-*`` pins fix the fast model's gather and strided timing
-(:func:`repro.axipack.fastmodel.price_block_stream`); the fast scatter
-prices as the fast gather does, so it has no pins of its own.
+(:func:`repro.axipack.fastmodel.price_memory` and
+:func:`repro.axipack.fastmodel.price_variant`); the fast scatter prices
+as the fast gather does, so it has no pins of its own.
 
 A refactor of either model must leave every pin as it is.  A change
 that moves a number on purpose updates the pin in the same change and
@@ -219,6 +220,13 @@ PINS = {
             "write_txns": 142, "idle_closes": 164, "refreshes": 1,
         },
     ),
+    "strided/s8/MLPnc": (
+        3035, 1500, 0,
+        {
+            "row_misses": 188, "transactions": 1500, "read_txns": 1500, "bytes": 96000,
+            "idle_closes": 183,
+        },
+    ),
     "strided/s8/MLP64": (
         514, 188, 0,
         {
@@ -233,6 +241,13 @@ PINS = {
             "idle_closes": 32,
         },
     ),
+    "strided/s72/MLPnc": (
+        3043, 1500, 0,
+        {
+            "row_misses": 16, "transactions": 1500, "read_txns": 1500, "bytes": 96000,
+            "row_conflicts": 96,
+        },
+    ),
     "strided/s72/MLP64": (
         3135, 1500, 0,
         {
@@ -245,6 +260,27 @@ PINS = {
         {
             "row_misses": 33, "transactions": 1500, "read_txns": 1500, "bytes": 96000,
             "row_conflicts": 96, "idle_closes": 32,
+        },
+    ),
+    "strided/s4096/MLPnc": (
+        24262, 1500, 0,
+        {
+            "row_misses": 7, "transactions": 1500, "read_txns": 1500, "bytes": 96000,
+            "row_conflicts": 374, "refreshes": 6,
+        },
+    ),
+    "strided/s4096/MLP64": (
+        24263, 1500, 0,
+        {
+            "row_misses": 7, "transactions": 1500, "read_txns": 1500, "bytes": 96000,
+            "row_conflicts": 374, "refreshes": 6,
+        },
+    ),
+    "strided/s4096/SEQ256": (
+        24263, 1500, 0,
+        {
+            "row_misses": 7, "transactions": 1500, "read_txns": 1500, "bytes": 96000,
+            "row_conflicts": 374, "refreshes": 6,
         },
     ),
     "fast-gather/permutation/MLPnc": (

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import SweepExecutor, grid_points
+from repro.engine.backends import AdapterBackend
 from repro.errors import ExperimentError, ServeError
 from repro.experiments.common import QUICK_MATRICES, QUICK_NNZ
 from repro.report.store import ResultStore
@@ -495,6 +496,19 @@ class TestStoreBacked:
         assert manager._store_lookup(req) is None
 
 
+def fail_pwtk_groups(monkeypatch) -> None:
+    """Make the adapter backend raise an exception outside the
+    ``ReproError`` taxonomy on every pwtk group."""
+    run_group = AdapterBackend.run_group
+
+    def failing(self, group_key, variants, cache):
+        if group_key[1] == "pwtk":
+            raise RuntimeError("synthetic backend fault")
+        return run_group(self, group_key, variants, cache)
+
+    monkeypatch.setattr(AdapterBackend, "run_group", failing)
+
+
 class TestStdioFrontEnd:
     def run_lines(self, manager: JobManager, *lines: str):
         out = io.StringIO()
@@ -524,6 +538,28 @@ class TestStdioFrontEnd:
         assert all("bad JSON" in e["error"] for e in error_events[:3])
         assert "invalid adapter variant" in error_events[4]["error"]
         assert events[-1] == {"event": "bye", "served": 1}
+
+    def test_unexpected_exception_ends_only_its_request(self, monkeypatch, caplog):
+        fail_pwtk_groups(monkeypatch)
+        # logging_setup (run by earlier CLI tests) stops propagation.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        manager = serial_manager()
+        with caplog.at_level(logging.WARNING, logger="repro.serve.jobs"):
+            events = self.run_lines(
+                manager,
+                json.dumps({**SWEEP_REQ, "matrices": ["pwtk"]}),
+                json.dumps(SWEEP_REQ),
+            )
+        kinds = [event["event"] for event in events]
+        assert kinds[:2] == ["accepted", "error"]
+        assert events[1]["error"] == "internal error: RuntimeError"
+        assert kinds[-1] == "done" and events[-1]["source"] == "computed"
+        assert manager.stats["errors"] == 1
+        assert manager.stats["computed"] == 1
+        logged = [
+            r for r in caplog.records if r.getMessage().startswith("request failed")
+        ]
+        assert len(logged) == 1 and logged[0].exc_info[0] is RuntimeError
 
 
 class TestHttpFrontEnd:
@@ -610,6 +646,30 @@ class TestHttpFrontEnd:
         reply = self._raw_post(server, str(100_000_000_000))
         assert reply.startswith(b"HTTP/1.0 413")
         assert f"over {MAX_BODY_BYTES} bytes".encode() in reply
+
+    def test_unexpected_exception_ends_only_its_request(self, server, monkeypatch):
+        fail_pwtk_groups(monkeypatch)
+        # After the headers: the error is the stream's last event.
+        failed = self._post(server, "/sweep", {**SWEEP_REQ, "matrices": ["pwtk"]})
+        assert [event["event"] for event in failed] == ["accepted", "error"]
+        assert failed[-1]["error"] == "internal error: RuntimeError"
+        good = self._post(server, "/sweep", SWEEP_REQ)
+        assert good[-1]["event"] == "done" and good[-1]["source"] == "computed"
+        assert self._get(server, "/stats")["jobs"]["errors"] == 1
+
+        # Before the headers: a 500 naming the class.
+        def failing_lookup(self, request):
+            raise RuntimeError("synthetic store fault")
+
+        monkeypatch.setattr(JobManager, "_store_lookup", failing_lookup)
+        with pytest.raises(urllib.error.HTTPError) as early:
+            self._post(server, "/experiment", {"name": "fig6a"})
+        assert early.value.code == 500
+        assert json.loads(early.value.read()) == {
+            "event": "error", "error": "internal error: RuntimeError",
+        }
+        assert self._get(server, "/stats")["jobs"]["errors"] == 2
+        assert self._get(server, "/healthz") == {"ok": True}
 
 
 class TestServeClient:
