@@ -13,16 +13,28 @@ Two models are provided:
   analytic pipeline timing, validated against the cycle model, for
   full-suite sweeps.
 
-Use :func:`repro.axipack.run_indirect_stream` for either.
+The fast model loads with the package; the cycle model's names
+(:func:`run_indirect_stream`, the scatter and strided runners) load
+their modules on first use, so a fast-model sweep never imports the
+cycle model.
 """
 
-from .adapter import IndirectStreamUnit, run_indirect_stream
-from .burst import IndirectBurst, NarrowRequest
+from ..lazy import lazy_exports
 from .fastmodel import StreamAnalysis, analyze_stream, fast_indirect_stream
 from .metrics import AdapterMetrics
-from .scatter import fast_indirect_scatter, run_indirect_scatter
-from .strided import StridedBurst, fast_strided_stream, run_strided_stream
 from .variants import VARIANT_LABELS
+
+__getattr__ = lazy_exports(__name__, {
+    "IndirectBurst": ".burst",
+    "NarrowRequest": ".burst",
+    "IndirectStreamUnit": ".adapter",
+    "run_indirect_stream": ".adapter",
+    "run_indirect_scatter": ".scatter",
+    "fast_indirect_scatter": ".scatter",
+    "StridedBurst": ".strided",
+    "run_strided_stream": ".strided",
+    "fast_strided_stream": ".strided",
+})
 
 __all__ = [
     "IndirectStreamUnit",

@@ -96,10 +96,16 @@ def run_strided_stream(
     config = config or AdapterConfig()
     dram_config = dram_config or DramConfig()
 
+    # Each element is the 8-byte backing word its address falls in: the
+    # response splitter rounds an unaligned offset down to it.  Only
+    # those words hold data, each its own nonzero value (word index +
+    # 1), so neither a wrong word nor an untouched zero word can match.
+    addrs = burst.base + np.arange(burst.count, dtype=np.int64) * burst.stride_bytes
+    words = addrs // 8
+    expected = (words + 1).astype(np.float64)
     span = burst.address_of(burst.count - 1) + burst.element_bytes
     store = BackingStore(span + (1 << 12))
-    backing = np.arange(span // 8 + 8, dtype=np.float64)
-    store.write_typed(0, backing)
+    store.scatter_typed(words * 8, expected)
 
     memory = DramChannel(store, dram_config)
     sinks: dict[int, Fifo[MemResponse]] = {}
@@ -124,12 +130,8 @@ def run_strided_stream(
                     engine=engine or default_engine())
     cycles = sim.run_until(lambda: packer.done, max_cycles=max_cycles)
 
-    if verify:
-        # Each element is the 8-byte backing word its address falls in:
-        # the response splitter rounds an unaligned offset down to it.
-        addrs = burst.base + np.arange(burst.count, dtype=np.int64) * burst.stride_bytes
-        if not np.array_equal(np.asarray(packer.output), backing[addrs // 8]):
-            raise SimulationError("strided output mismatch")
+    if verify and not np.array_equal(np.asarray(packer.output), expected):
+        raise SimulationError("strided output mismatch")
 
     return AdapterMetrics(
         variant="strided",

@@ -39,16 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..axipack import (
-    fast_indirect_stream,
-    run_indirect_scatter,
-    run_indirect_stream,
-)
+from ..axipack.fastmodel import fast_indirect_stream
 from ..axipack.metrics import AdapterMetrics
 from ..config import AdapterConfig, DramConfig, variant_config
 from ..errors import ConfigError, ExperimentError
-from ..sparse.corpus import is_corpus_name
-from ..sparse.suite import DEFAULT_MAX_NNZ, get_spec
+from ..sparse.suite import DEFAULT_MAX_NNZ, get_spec, is_corpus_name
 from .cache import AnalysisCache
 from .points import (
     ADAPTER_KIND,
@@ -263,6 +258,9 @@ class AdapterBackend(SweepBackend):
         variant: str, channels: int,
     ) -> AdapterMetrics:
         """One variant's row metrics on the cycle model."""
+        # The cycle model loads only for a cycle-model group.
+        from ..axipack.adapter import run_indirect_stream
+
         return run_indirect_stream(
             indices, config, dram, variant=variant, channels=channels
         )
@@ -420,9 +418,12 @@ class SystemBackend(SweepBackend):
                 analysis = None
                 if model == "fast":
                     # Fig. 3's SELL stream: its memory terms are shared.
+                    # A cold cache takes the stream from this SELL, so
+                    # the group builds SELL-32 once.
                     analysis = cache.analysis(
                         matrix, "sell", max_nnz,
                         pack.dram.access_bytes // pack.adapter_config.element_bytes,
+                        known=sell.index_stream(),
                     )
                 result = pack.run(sell, matrix, analysis=analysis)
             rows.append(
@@ -470,6 +471,8 @@ class ScatterBackend(AdapterBackend):
         return config, 1
 
     def run_cycle(self, indices, config, dram, variant, channels) -> AdapterMetrics:
+        from ..axipack.scatter import run_indirect_scatter
+
         values = np.arange(indices.size, dtype=np.float64)
         return run_indirect_scatter(indices, values, config, dram)
 

@@ -25,9 +25,8 @@ import numpy as np
 from ..axipack.fastmodel import StreamAnalysis, analyze_stream
 from ..obs import trace as obs_trace
 from ..axipack.streams import matrix_index_stream
-from ..sparse import corpus as corpus_io
 from ..sparse.csr import CsrMatrix
-from ..sparse.suite import get_matrix
+from ..sparse.suite import get_matrix, is_corpus_name
 
 
 class AnalysisCache:
@@ -98,28 +97,38 @@ class AnalysisCache:
         ignored for them (the file *is* the scale), which is why corpus
         sweep points carry ``max_nnz=0``.
         """
-        if corpus_io.is_corpus_name(name):
+        if is_corpus_name(name):
             key = (name,)
             if not self._count(self._matrices, key):
-                self._put(self._matrices, key, corpus_io.load_corpus_name(name))
+                # Corpus ingest (tarfile, gzip, mmio) loads for a corpus
+                # matrix only.
+                from ..sparse.corpus import load_corpus_name
+
+                self._put(self._matrices, key, load_corpus_name(name))
             return self._matrices[key]
         return get_matrix(name, max_nnz)
 
-    def stream(self, name: str, fmt: str, max_nnz: int) -> np.ndarray:
+    def stream(
+        self, name: str, fmt: str, max_nnz: int, known: np.ndarray | None = None
+    ) -> np.ndarray:
         """The format-ordered column-index stream for one matrix.
 
         ``fmt`` selects the traversal order (``"sell"`` or ``"csr"``);
         the returned array is the cached instance, so treat it as
-        read-only.
+        read-only.  ``known``, if given, is that same stream from a
+        formatted matrix the caller already holds; a miss caches it
+        instead of formatting the matrix again.
         """
         key = (name, fmt, max_nnz)
         if not self._count(self._streams, key):
-            value = matrix_index_stream(self.matrix(name, max_nnz), fmt)
-            self._put(self._streams, key, value)
+            if known is None:
+                known = matrix_index_stream(self.matrix(name, max_nnz), fmt)
+            self._put(self._streams, key, known)
         return self._streams[key]
 
     def analysis(
-        self, name: str, fmt: str, max_nnz: int, elements_per_block: int
+        self, name: str, fmt: str, max_nnz: int, elements_per_block: int,
+        known: np.ndarray | None = None,
     ) -> StreamAnalysis:
         """Block ids + previous occurrences, shared across window sizes.
 
@@ -128,13 +137,14 @@ class AnalysisCache:
         size of one variant family shares the same analysis, so each
         ``coalesce_window_exact`` call is left with linear passes and
         no sort (``benchmarks/bench_coalescer.py`` measures the fig4
-        window sweep against the reference loop).
+        window sweep against the reference loop).  ``known`` is passed
+        on to :meth:`stream`.
         """
         key = (name, fmt, max_nnz, elements_per_block)
         if not self._count(self._analyses, key):
             with obs_trace.span("cache.analysis", matrix=name, fmt=fmt):
                 value = analyze_stream(
-                    self.stream(name, fmt, max_nnz), elements_per_block
+                    self.stream(name, fmt, max_nnz, known), elements_per_block
                 )
             self._put(self._analyses, key, value)
         return self._analyses[key]

@@ -57,8 +57,7 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .. import obs
 from ..errors import ExperimentError
@@ -67,6 +66,9 @@ from ..obs import trace as obs_trace
 from .backends import ShardTask, get_backend
 from .cache import AnalysisCache
 from .points import SweepPoint
+
+if TYPE_CHECKING:  # the pool (and multiprocessing) loads on first pooled run
+    from concurrent.futures import ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -261,6 +263,8 @@ class SweepExecutor:
         active ``--trace`` buffers worker spans for ship-back.
         """
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
@@ -361,6 +365,8 @@ class SweepExecutor:
         respawn-and-retry of the tasks that never completed; a second
         failure propagates.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         order = sorted(
             range(len(tasks)), key=lambda i: (-_task_weight(tasks[i]), i)
         )

@@ -92,3 +92,14 @@ class BackingStore:
     def write_typed(self, addr: int, values: np.ndarray) -> None:
         """Alias of :meth:`write_block` for typed arrays."""
         self.write_block(addr, values)
+
+    def scatter_typed(self, addrs: np.ndarray, values: np.ndarray) -> None:
+        """Write ``values[i]`` (one typed element) at byte address
+        ``addrs[i]`` for every ``i``; every other byte keeps its
+        value."""
+        raw = np.ascontiguousarray(values).view(np.uint8).reshape(len(addrs), -1)
+        addrs = np.asarray(addrs, dtype=np.int64)
+        if addrs.size:
+            self._check_range(int(addrs.min()), 0)
+            self._check_range(int(addrs.max()), raw.shape[1])
+        self.data[addrs[:, None] + np.arange(raw.shape[1])] = raw

@@ -15,23 +15,27 @@ pool spawn + per-matrix analysis) per sweep.  The layers:
 * :mod:`repro.serve.client` — :class:`ServeClient`: the scripted HTTP
   consumer (streamed NDJSON iteration, client-side job-key reuse).
 
-The package re-exports only the job manager and the protocol, which
-``python -m repro`` imports for every command; import the HTTP front
-end and client from their own modules, so the CLI never loads
-``http.server`` or ``urllib.request``.
+The package re-exports only the job manager and the protocol.
+``python -m repro`` imports the protocol for every command, and the
+job manager (with it the engine's serving layer) loads on first use of
+:class:`JobManager`; import the HTTP front end and client from their
+own modules, so the CLI never loads ``http.server`` or
+``urllib.request``.
 
 ``benchmarks/bench_serve.py`` gates the point of it all: a warm
 repeated request must be ≥10× faster than a cold CLI invocation, with
 served rows byte-identical to a serial :class:`SweepExecutor` run.
 """
 
-from .jobs import JobManager
+from ..lazy import lazy_exports
 from .protocol import (
     ExperimentRequest,
     SweepRequest,
     canonicalize,
     json_default,
 )
+
+__getattr__ = lazy_exports(__name__, {"JobManager": ".jobs"})
 
 __all__ = [
     "JobManager",

@@ -11,13 +11,22 @@ Two interchangeable engines drive the kernel: the per-cycle step engine
 (the oracle) and the event-batched engine in :mod:`repro.sim.batched`,
 selected by the ``engine`` knob on :class:`Simulator` (high-level
 runners default to :func:`default_engine`).
+
+Only the stat counters load with the package (the fast models count
+with them too); the kernel loads on first use of one of its names.
 """
 
-from .batched import BatchedEngine
-from .clock import Simulator, default_engine
-from .component import Component, FAR_FUTURE
-from .fifo import Fifo
+from ..lazy import lazy_exports
 from .stats import Counter, StatSet
+
+__getattr__ = lazy_exports(__name__, {
+    "Simulator": ".clock",
+    "default_engine": ".clock",
+    "BatchedEngine": ".batched",
+    "Component": ".component",
+    "FAR_FUTURE": ".component",
+    "Fifo": ".fifo",
+})
 
 __all__ = [
     "Simulator",

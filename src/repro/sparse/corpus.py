@@ -57,10 +57,13 @@ import numpy as np
 from ..errors import CorpusError, ReproError
 from .csr import CsrMatrix
 from .mmio import read_matrix_market
-from .suite import PAPER_SUITE, SUITE_SEED, get_spec
-
-#: engine matrix-name scheme for cached corpus artifacts.
-CORPUS_NAME_PREFIX = "corpus:"
+from .suite import (
+    CORPUS_NAME_PREFIX,
+    PAPER_SUITE,
+    SUITE_SEED,
+    get_spec,
+    is_corpus_name,
+)
 
 #: bump when the on-disk ``.npz`` layout changes shape.
 FASTLOAD_VERSION = 1
@@ -414,10 +417,6 @@ def load_fastload(path: Path | str) -> CsrMatrix:
 def matrix_name(path: Path | str) -> str:
     """The engine matrix name of a cached corpus artifact."""
     return CORPUS_NAME_PREFIX + str(path)
-
-
-def is_corpus_name(name: str) -> bool:
-    return name.startswith(CORPUS_NAME_PREFIX)
 
 
 def load_corpus_name(name: str) -> CsrMatrix:

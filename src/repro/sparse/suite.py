@@ -109,6 +109,17 @@ DEFAULT_MAX_NNZ = 60_000
 #: store's run manifest so stored tables name their full provenance.
 SUITE_SEED = 2024
 
+#: Engine matrix-name scheme for cached corpus artifacts
+#: (:mod:`repro.sparse.corpus` builds and loads them); the engine tells
+#: the two namespaces apart here, without loading corpus ingest.
+CORPUS_NAME_PREFIX = "corpus:"
+
+
+def is_corpus_name(name: str) -> bool:
+    """Whether ``name`` names a cached corpus artifact, not a suite
+    matrix."""
+    return name.startswith(CORPUS_NAME_PREFIX)
+
 
 def list_matrices() -> list[str]:
     """Names of the twenty suite matrices, in Fig. 3 order."""

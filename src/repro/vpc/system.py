@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..axipack import StreamAnalysis, fast_indirect_stream, run_indirect_stream
+from ..axipack.fastmodel import StreamAnalysis, fast_indirect_stream
 from ..axipack.metrics import AdapterMetrics
 from ..config import AdapterConfig, DramConfig, VpcConfig, variant_config
 from ..errors import ExperimentError
@@ -74,6 +74,8 @@ class PackSystem:
         stream; the cycle model ignores it.
         """
         if self.adapter_model == "cycle":
+            from ..axipack.adapter import run_indirect_stream
+
             return run_indirect_stream(
                 indices, self.adapter_config, self.dram, variant=self.adapter_label
             )

@@ -12,6 +12,10 @@ numbers:
   executor.
 """
 
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.engine import (
@@ -24,6 +28,7 @@ from repro.engine import (
     registered_kinds,
     workers_from_env,
 )
+from repro.engine import backends as backends_mod
 from repro.engine import executor as executor_mod
 from repro.errors import ExperimentError
 from repro.experiments import run_fig3, run_fig4, run_fig5a, run_fig5b, run_fig6b
@@ -186,6 +191,31 @@ class TestCacheBound:
         assert set(counters) == {"hits", "misses", "evictions"}
 
 
+class _DyingBackend(backends_mod.AdapterBackend):
+    """The adapter backend, except that the worker process running a
+    task exits without a word: on the first task of all when ``flag``
+    names a file not yet created (the task creates it), on every task
+    when ``flag`` is None."""
+
+    def __init__(self, flag) -> None:
+        self.flag = flag
+
+    def run_group(self, group_key, variants, cache):
+        if self.flag is None:
+            os._exit(1)
+        try:
+            os.close(os.open(self.flag, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return super().run_group(group_key, variants, cache)
+        os._exit(1)
+
+
+_FORKED_WORKERS = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the test's backend only when forked",
+)
+
+
 class TestPersistentPool:
     """The executor is a reusable resource: one pool across runs."""
 
@@ -227,6 +257,24 @@ class TestPersistentPool:
             executor.run(self.points())
             assert executor._pool is not None
         assert executor._pool is None
+
+    @_FORKED_WORKERS
+    def test_pool_broken_once_is_respawned_once(self, monkeypatch, tmp_path):
+        expected = SweepExecutor(workers=1).run(self.points())
+        monkeypatch.setitem(
+            backends_mod._REGISTRY, ADAPTER_KIND, _DyingBackend(tmp_path / "died")
+        )
+        with SweepExecutor(workers=2, shards=2) as executor:
+            assert executor.run(self.points()) == expected
+            assert executor.stats["pool_spawns"] == 2
+        assert (tmp_path / "died").exists()
+
+    @_FORKED_WORKERS
+    def test_pool_broken_twice_raises(self, monkeypatch):
+        monkeypatch.setitem(backends_mod._REGISTRY, ADAPTER_KIND, _DyingBackend(None))
+        with SweepExecutor(workers=2, shards=2) as executor:
+            with pytest.raises(BrokenProcessPool):
+                executor.run(self.points())
 
     def test_serial_executor_never_spawns(self):
         executor = SweepExecutor(workers=1)

@@ -29,7 +29,14 @@ from repro.axipack.fastmodel import (
 )
 from repro.axipack.scatter import fast_indirect_scatter
 from repro.config import DramConfig, variant_config
-from repro.engine import AnalysisCache, SweepExecutor, SweepPoint, get_backend
+from repro.engine import (
+    AnalysisCache,
+    SweepExecutor,
+    SweepPoint,
+    get_backend,
+    grid_points,
+)
+from repro.engine import executor as executor_mod
 from repro.mem.timeline import service_timeline
 from repro.sparse.sell import SellMatrix
 from repro.sparse.suite import get_matrix
@@ -61,6 +68,19 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_sell_builds(monkeypatch) -> list:
+    """Count SELL builds (``SellMatrix.from_csr`` calls)."""
+    builds = []
+    from_csr = SellMatrix.from_csr.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(1)
+        return from_csr(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SellMatrix, "from_csr", classmethod(counted))
+    return builds
 
 
 def _mask_loop_oracle(merged, dram, channels):
@@ -150,20 +170,29 @@ class TestSharedMemoryTerms:
             cache,
         )
         timelines = _count_calls(monkeypatch, fastmodel, "service_timeline")
-        builds = []
-        from_csr = SellMatrix.from_csr.__func__
-
-        def counted_from_csr(cls, *args, **kwargs):
-            builds.append(1)
-            return from_csr(cls, *args, **kwargs)
-
-        monkeypatch.setattr(SellMatrix, "from_csr", classmethod(counted_from_csr))
+        builds = _count_sell_builds(monkeypatch)
         rows = get_backend("system").run_group(
             ("system", "pwtk", "", TINY, "fast"), ("base", *PACK_SYSTEMS), cache
         )
         assert [row["system"] for row in rows] == ["base", *PACK_SYSTEMS]
         assert len(builds) == 1
         assert timelines == []
+
+    def test_cold_system_group_builds_sell_once(self, monkeypatch):
+        """On a cold process cache, a system group's pack systems and
+        the stream their analysis prices share one SELL-32 build, and
+        the rows equal those priced over the cache's own stream."""
+        monkeypatch.setattr(executor_mod, "_PROCESS_CACHE", AnalysisCache())
+        builds = _count_sell_builds(monkeypatch)
+        rows = SweepExecutor(workers=1).run(
+            grid_points("system", ("pwtk",), tuple(PACK_SYSTEMS), max_nnz=TINY)
+        )
+        assert len(builds) == 1
+        warm = AnalysisCache()
+        warm.stream("pwtk", "sell", TINY)
+        assert rows == get_backend("system").run_group(
+            ("system", "pwtk", "", TINY, "fast"), tuple(PACK_SYSTEMS), warm
+        )
 
     @pytest.mark.parametrize("system", list(PACK_SYSTEMS))
     def test_pack_run_with_analysis_equals_plain_run(self, system):

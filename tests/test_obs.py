@@ -18,8 +18,10 @@ bounds the wall-clock side).
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import logging
+import sys
 import threading
 import urllib.request
 from pathlib import Path
@@ -527,6 +529,20 @@ class TestLogging:
         obs.logging_setup(0)
         assert root.level == logging.WARNING
 
+    def test_warning_follows_a_swapped_stderr(self, monkeypatch):
+        """The handler writes to the ``sys.stderr`` of the moment, so a
+        stream closed after set-up (a finished capture) is never
+        written to."""
+        first = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        obs.logging_setup(0)
+        first.close()
+        second = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", second)
+        logging.getLogger("repro.engine.executor").warning("pool respawned")
+        assert "pool respawned" in second.getvalue()
+        assert "Logging error" not in second.getvalue()
+
     def test_leader_failure_is_logged(self, caplog, monkeypatch):
         manager = JobManager(executor=SweepExecutor(workers=1))
         monkeypatch.setattr(
@@ -534,13 +550,11 @@ class TestLogging:
             "_compute_chunks",
             lambda request: (_ for _ in ()).throw(ServeError("rigged")),
         )
-        logging.getLogger("repro").propagate = True
         try:
             with caplog.at_level(logging.WARNING, logger="repro"):
                 with pytest.raises(ServeError, match="rigged"):
                     list(manager.stream(SWEEP_REQ))
         finally:
-            logging.getLogger("repro").propagate = False
             manager.close()
         assert any(
             "single-flight leader failed" in record.message
@@ -558,14 +572,10 @@ class TestLogging:
         path = runner._journal_path("feedbeef")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{not json")
-        logging.getLogger("repro").propagate = True
-        try:
-            with caplog.at_level(logging.WARNING, logger="repro"):
-                assert runner._replay("feedbeef", ["key"]) is None
-                path.write_text(json.dumps({"key": ["other"], "rows": []}))
-                assert runner._replay("feedbeef", ["key"]) is None
-        finally:
-            logging.getLogger("repro").propagate = False
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert runner._replay("feedbeef", ["key"]) is None
+            path.write_text(json.dumps({"key": ["other"], "rows": []}))
+            assert runner._replay("feedbeef", ["key"]) is None
         messages = [record.message for record in caplog.records]
         assert any("unreadable" in message for message in messages)
         assert any("does not match its job key" in message for message in messages)

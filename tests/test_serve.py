@@ -541,8 +541,6 @@ class TestStdioFrontEnd:
 
     def test_unexpected_exception_ends_only_its_request(self, monkeypatch, caplog):
         fail_pwtk_groups(monkeypatch)
-        # logging_setup (run by earlier CLI tests) stops propagation.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         manager = serial_manager()
         with caplog.at_level(logging.WARNING, logger="repro.serve.jobs"):
             events = self.run_lines(
