@@ -16,11 +16,18 @@ Two models are provided:
 The fast model loads with the package; the cycle model's names
 (:func:`run_indirect_stream`, the scatter and strided runners) load
 their modules on first use, so a fast-model sweep never imports the
-cycle model.
+cycle model.  The burst descriptors live in :mod:`repro.axipack.burst`
+and the strided fast model in :mod:`repro.axipack.fastmodel`, beside
+no cycle-model code.
 """
 
 from ..lazy import lazy_exports
-from .fastmodel import StreamAnalysis, analyze_stream, fast_indirect_stream
+from .fastmodel import (
+    StreamAnalysis,
+    analyze_stream,
+    fast_indirect_stream,
+    fast_strided_stream,
+)
 from .metrics import AdapterMetrics
 from .variants import VARIANT_LABELS
 
@@ -31,9 +38,8 @@ __getattr__ = lazy_exports(__name__, {
     "run_indirect_stream": ".adapter",
     "run_indirect_scatter": ".scatter",
     "fast_indirect_scatter": ".scatter",
-    "StridedBurst": ".strided",
+    "StridedBurst": ".burst",
     "run_strided_stream": ".strided",
-    "fast_strided_stream": ".strided",
 })
 
 __all__ = [

@@ -1,8 +1,14 @@
-"""AXI-Pack indirect burst descriptors and narrow element requests."""
+"""AXI-Pack burst descriptors (indirect and strided) and narrow
+element requests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -58,3 +64,42 @@ class NarrowRequest:
     def offset_in_block(self, block_bytes: int, element_bytes: int) -> int:
         """Element offset inside its wide block."""
         return (self.addr % block_bytes) // element_bytes
+
+
+@dataclass(frozen=True)
+class StridedBurst:
+    """One AXI-Pack strided read burst: ``count`` elements of
+    ``element_bytes`` at addresses ``base + j*stride_bytes``."""
+
+    base: int
+    count: int
+    stride_bytes: int
+    element_bytes: int = 8
+
+    def __post_init__(self) -> None:
+        if self.count <= 0:
+            raise ValueError("burst element count must be positive")
+        if self.stride_bytes < self.element_bytes:
+            raise ValueError("stride must cover the element size")
+        # Both models compute addresses in int64; past it they would wrap.
+        last = self.address_of(self.count - 1)
+        if max(self.stride_bytes, last) > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"strided burst (base {self.base}, {self.count} elements, "
+                f"stride {self.stride_bytes} B) addresses past int64"
+            )
+
+    def address_of(self, j: int) -> int:
+        return self.base + j * self.stride_bytes
+
+    # -- address source of the element request generator: no index
+    # stream, so every lane is always ready.
+
+    def lane_ready(self, lanes: int) -> list[Callable[[], bool]]:
+        return [lambda: True] * lanes
+
+    def take(self, lane: int, seq: int) -> int:
+        return self.address_of(seq)
+
+    def ready_watches(self) -> list:
+        return []

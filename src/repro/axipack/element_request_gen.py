@@ -6,7 +6,7 @@ element path — either the request coalescer's W upsizer queues or the
 direct (no-coalescer) path — through the :class:`RequestSink` protocol.
 The gather and the scatter take their addresses from the index
 splitter's lane queues (:class:`LaneIndices`); a strided burst is its
-own source (:class:`repro.axipack.strided.StridedBurst`).
+own source (:class:`repro.axipack.burst.StridedBurst`).
 
 The sequential (SEQx) configuration serialises generation to a single
 request per cycle, reproducing the paper's reduced-input-port variant.

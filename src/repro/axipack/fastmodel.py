@@ -19,8 +19,8 @@ Every fast path prices through the same two functions,
 :func:`price_memory` and :func:`price_variant`: the gather
 (:func:`fast_indirect_stream`, also over several channels), the scatter
 (:func:`repro.axipack.scatter.fast_indirect_scatter`) and the strided
-burst (:func:`repro.axipack.strided.fast_strided_stream`, with no index
-fetches).  The bottlenecks are:
+burst (:func:`fast_strided_stream`, with no index fetches).  The
+bottlenecks are:
 
 * narrow request generation (N per cycle, or 1 for the sequential
   variant's upsizer) and element packing (N per cycle),
@@ -51,13 +51,14 @@ reuses one :class:`MemoryTerms`, memoised on the stream's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..config import AdapterConfig, DramConfig, variant_label
 from ..mem.timeline import empty_timeline, service_timeline
 from ..units import ceil_div
+from .burst import StridedBurst
 from .metrics import AdapterMetrics
 
 #: pipeline fill latency added to the analytic cycle count (index fetch
@@ -196,9 +197,9 @@ def previous_occurrence(blocks: np.ndarray) -> np.ndarray:
     key *= n
     key += np.arange(n, dtype=np.int64)
     key.sort()
-    pos = key % n
-    key -= pos  # the block part alone
-    prev[pos[1:]] = np.where(key[1:] == key[:-1], pos[:-1], -1)
+    block = key // n  # the block part alone
+    pos = key - block * n
+    prev[pos[1:]] = np.where(block[1:] == block[:-1], pos[:-1], -1)
     return prev
 
 
@@ -222,10 +223,19 @@ def window_candidates(
     if prev is None:
         prev = previous_occurrence(blocks)
 
-    # starts[i] is the first position of request i's window (a window
-    # longer than the stream is one window, not a window-sized array).
-    starts = np.repeat(np.arange(0, n, window, dtype=np.int64), min(window, n))[:n]
-    first_pos = np.flatnonzero(prev < starts)
+    # A (windows, W) view of the full windows compares each request
+    # with its window's first position; the ragged tail compares with
+    # its own.
+    full = n // window
+    head = full * window
+    opens = np.empty(n, dtype=bool)
+    np.less(
+        prev[:head].reshape(full, window),
+        np.arange(0, head, window, dtype=np.int64)[:, None],
+        out=opens[:head].reshape(full, window),
+    )
+    np.less(prev[head:], head, out=opens[head:])
+    first_pos = np.flatnonzero(opens)
 
     cand = blocks[first_pos]  # warp candidates, window-grouped,
     cand_win = first_pos // window  # in first-occurrence order
@@ -264,10 +274,12 @@ def resolve_window_carry(
         # between anchors every transition is identity or negation.
         const = ~gate | (eq_second == eq_last)
         neg = gate & ~eq_second & eq_last
+        # Window t's last anchor at or before it is the running count
+        # of anchors; window 0 is anchor 0 (no carry, x = False).
         anchor_t = np.concatenate(([0], np.flatnonzero(const) + 1))
         anchor_v = np.concatenate(([False], eq_last[const]))
         neg_csum = np.concatenate(([0], np.cumsum(neg)))
-        ai = np.searchsorted(anchor_t, np.arange(num_win), side="right") - 1
+        ai = np.concatenate(([0], np.cumsum(const)))
         parity = (neg_csum - neg_csum[anchor_t[ai]]) & 1
         x = anchor_v[ai] ^ parity.astype(bool)
 
@@ -537,3 +549,21 @@ def fast_indirect_stream(
             indices // elements_per_block, idx_txns, window, dram, channels=channels
         )
     return price_variant(int(indices.size), config, dram, memory, variant)
+
+
+def fast_strided_stream(
+    burst: StridedBurst,
+    config: AdapterConfig | None = None,
+    dram_config: DramConfig | None = None,
+) -> AdapterMetrics:
+    """Analytic counterpart of
+    :func:`repro.axipack.strided.run_strided_stream`: the burst's wide
+    blocks priced as the gather's are, by :func:`price_memory` and
+    :func:`price_variant`, with no index transactions."""
+    config = config or AdapterConfig()
+    dram = dram_config or DramConfig()
+    addrs = burst.base + np.arange(burst.count, dtype=np.int64) * burst.stride_bytes
+    window = config.coalescer.window if config.has_coalescer else None
+    memory = price_memory(addrs // dram.access_bytes, 0, window, dram)
+    metrics = price_variant(burst.count, config, dram, memory, variant="strided")
+    return replace(metrics, element_bytes=burst.element_bytes)

@@ -12,21 +12,20 @@ generator the gather and the scatter use
 runner mirrors :func:`repro.axipack.adapter.run_indirect_stream`,
 checking every packed element against the backing word its address
 falls in.  The element path (coalescer / direct), packer, reorder front
-and DRAM are exactly the shared components.  The fast-model counterpart
-prices the burst's wide blocks as the gather does, through
-:func:`repro.axipack.fastmodel.price_memory` and
-:func:`repro.axipack.fastmodel.price_variant`, with no index fetches.
+and DRAM are exactly the shared components.  The burst descriptor
+(:class:`repro.axipack.burst.StridedBurst`) and the fast-model
+counterpart (:func:`repro.axipack.fastmodel.fast_strided_stream`, which
+prices the burst's wide blocks as the gather does, with no index
+fetches) live beside no cycle-model code, so a fast strided sweep
+never loads this module; both names are still importable from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
-
 import numpy as np
 
 from ..config import AdapterConfig, DramConfig
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from ..mem.backing_store import BackingStore
 from ..mem.dram import DramChannel
 from ..mem.reorder import ReorderBuffer
@@ -36,50 +35,12 @@ from ..sim.component import Wiring
 from ..sim.fifo import Fifo
 from .adapter import element_path
 from .arbiter import Arbiter
+from .burst import StridedBurst
 from .element_request_gen import ElementRequestGen
-from .fastmodel import price_memory, price_variant
+from .fastmodel import fast_strided_stream  # noqa: F401 (re-exported)
 from .index_fetcher import ELEMENT_AXI_ID
 from .metrics import AdapterMetrics
 from .packer import ElementPacker
-
-
-@dataclass(frozen=True)
-class StridedBurst:
-    """One AXI-Pack strided read burst: ``count`` elements of
-    ``element_bytes`` at addresses ``base + j*stride_bytes``."""
-
-    base: int
-    count: int
-    stride_bytes: int
-    element_bytes: int = 8
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError("burst element count must be positive")
-        if self.stride_bytes < self.element_bytes:
-            raise ValueError("stride must cover the element size")
-        # Both models compute addresses in int64; past it they would wrap.
-        last = self.address_of(self.count - 1)
-        if max(self.stride_bytes, last) > np.iinfo(np.int64).max:
-            raise ConfigError(
-                f"strided burst (base {self.base}, {self.count} elements, "
-                f"stride {self.stride_bytes} B) addresses past int64"
-            )
-
-    def address_of(self, j: int) -> int:
-        return self.base + j * self.stride_bytes
-
-    # -- address source of the element request generator: no index
-    # stream, so every lane is always ready.
-
-    def lane_ready(self, lanes: int) -> list[Callable[[], bool]]:
-        return [lambda: True] * lanes
-
-    def take(self, lane: int, seq: int) -> int:
-        return self.address_of(seq)
-
-    def ready_watches(self) -> list:
-        return []
 
 
 def run_strided_stream(
@@ -144,22 +105,3 @@ def run_strided_stream(
         freq_hz=dram_config.freq_hz,
         dram_stats=memory.stats.as_dict(),
     )
-
-
-def fast_strided_stream(
-    burst: StridedBurst,
-    config: AdapterConfig | None = None,
-    dram_config: DramConfig | None = None,
-) -> AdapterMetrics:
-    """Analytic counterpart of :func:`run_strided_stream`: the burst's
-    wide blocks priced as the gather's are, by
-    :func:`repro.axipack.fastmodel.price_memory` and
-    :func:`repro.axipack.fastmodel.price_variant`, with no index
-    transactions."""
-    config = config or AdapterConfig()
-    dram = dram_config or DramConfig()
-    addrs = burst.base + np.arange(burst.count, dtype=np.int64) * burst.stride_bytes
-    window = config.coalescer.window if config.has_coalescer else None
-    memory = price_memory(addrs // dram.access_bytes, 0, window, dram)
-    metrics = price_variant(burst.count, config, dram, memory, variant="strided")
-    return replace(metrics, element_bytes=burst.element_bytes)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..axipack.fastmodel import fast_indirect_stream
+from ..axipack.burst import StridedBurst
+from ..axipack.fastmodel import fast_indirect_stream, fast_strided_stream
 from ..axipack.metrics import AdapterMetrics
 from ..config import AdapterConfig, DramConfig, variant_config
 from ..errors import ConfigError, ExperimentError
@@ -507,8 +508,6 @@ class StridedBackend(SweepBackend):
         super().check_names((), variants)  # matrix is a free-form label
 
     def check_variant(self, variant: str) -> None:
-        from ..axipack.strided import StridedBurst
-
         StridedBurst(base=0, count=1, stride_bytes=self.stride_bytes(variant))
 
     @staticmethod
@@ -522,12 +521,6 @@ class StridedBackend(SweepBackend):
     def run_group(
         self, group_key: tuple, variants: tuple[str, ...], cache: AnalysisCache
     ) -> list[dict]:
-        from ..axipack.strided import (
-            StridedBurst,
-            fast_strided_stream,
-            run_strided_stream,
-        )
-
         kind, matrix, fmt, count, model = group_key
         dram = DramConfig()
         config = AdapterConfig()
@@ -537,6 +530,8 @@ class StridedBackend(SweepBackend):
                 base=0, count=count, stride_bytes=self.stride_bytes(variant)
             )
             if model == "cycle":
+                from ..axipack.strided import run_strided_stream
+
                 metrics = run_strided_stream(burst, config, dram)
             else:
                 metrics = fast_strided_stream(burst, config, dram)

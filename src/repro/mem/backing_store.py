@@ -4,9 +4,16 @@ A :class:`BackingStore` is a flat numpy byte buffer plus a bump
 allocator.  Both memory models serve reads and writes from it, so the
 functional output of a simulation is the data that actually moved
 through the modelled channel.
+
+The buffer is an anonymous memory map: it reads as zeros and only the
+pages a run writes or reads become resident.  Huge pages are advised
+off for it, so a sparse access pattern (a strided burst touching one
+word every few kilobytes) costs small pages, not whole 2 MB regions.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -20,7 +27,10 @@ class BackingStore:
         if size <= 0:
             raise MemoryModelError("backing store size must be positive")
         self.size = size
-        self.data = np.zeros(size, dtype=np.uint8)
+        buffer = mmap.mmap(-1, size)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            buffer.madvise(mmap.MADV_NOHUGEPAGE)
+        self.data = np.frombuffer(buffer, dtype=np.uint8)
         self._next_free = 0
 
     # -- allocation ------------------------------------------------------

@@ -30,33 +30,45 @@ The open-adaptive page policy is modelled as *most-recent-arrival*: the
 row a bank leaves open after a window is the row of its newest request
 in that window.  Because the carried row therefore never depends on the
 scheduler's choices, every queue window can be priced independently and
-the whole replay vectorises into **one sort** and segmented reductions
-over it — the same discipline :func:`repro.axipack.fastmodel.
-coalesce_window_exact` uses.  Every request gets a bank-major composite
-key ``(bank, queue window, row, slot)``, where the slot is its place in
-its window, so every key is distinct and a plain ``np.sort`` of the
-keys (no argsort, no gather) lines the stream up such that:
+the whole replay vectorises into **one sort** and shifts, masks and
+scatters over it.  Every request gets a bank-major key laid out as bit
+fields ``bank | queue window | row | slot``, where the slot is its
+place in its window and each field is ``(count - 1).bit_length()``
+bits wide for its count (banks, windows, row span, ``2 *
+queue_depth``).  Every key is distinct, so a plain ``np.sort`` of the
+keys (no argsort, no gather) lines the stream up, and a sorted key
+splits into its cell ``(bank, window, row)``, group ``(bank,
+window)``, bank, window, row and slot by shifts and masks alone — no
+int64 ``//`` or ``%``:
 
 * each ``(bank, window)`` group is one run of the sorted keys, and each
   of its distinct rows one run of equal ``(bank, window, row)`` — group
   sizes and distinct-row counts are run lengths;
-* a group's newest request is its largest slot (``np.maximum.reduceat``
-  over the runs), and because the order is bank-major the group just
-  before it is the same bank's previous window, so the row carried
-  into a group is the newest row of the previous group when the two
-  share a bank;
-* the carried row is a first-ready hit exactly when the group's
-  ``(bank, window)`` with the carried row is among the sorted runs —
-  one ``np.searchsorted``;
-* each window's busiest bank and each bank's busy total scatter over
+* a run-to-group index (``np.repeat(np.arange(groups),
+  distinct_rows)``) carries values between a group and its runs.  A
+  group's newest request is its largest slot, so ``np.maximum.at`` of
+  each run's ``(slot, row)`` tag over that index gives the newest row;
+  because the order is bank-major the group just before it is the same
+  bank's previous window, so the row carried into a group is the
+  newest row of the previous group when the two share a bank;
+* the carried row is a first-ready hit exactly when one of the group's
+  runs is the carried ``(bank, window, row)`` cell — the carried cell
+  gathered onto the runs through the same index and compared;
+* each window's bus term follows from its transaction count (every
+  window but the last holds ``2 * queue_depth``) and seeds its maximum;
+  each window's busiest bank and each bank's busy total scatter over
   the groups (``np.maximum.at`` / ``np.add.at``), never through a dense
   bank x window table, whose size would grow as the queue shrinks.
 
-Rows enter the key as offsets from the stream's lowest row.  When
-``banks x windows x row span x 2 * queue_depth`` would not fit in
-int64 (far-apart ids), the rows are replaced by their dense ranks
-first, which keeps row equality and shrinks the span to the number of
-distinct rows; the rest of the replay is the same.
+The replay uses no ``np.maximum.reduceat`` and no ``np.searchsorted``,
+which cost many times a shift per element.
+
+Rows enter the key as offsets from the stream's lowest row.  The four
+fields may use 63 bits, so every key is a non-negative int64.  When
+they need more (far-apart ids), the rows are replaced by their dense
+ranks first, which keeps row equality and shrinks the row field to the
+number of distinct rows; the rest of the replay is the same.  When the
+fields still need more than 63 bits, the replay raises ``ValueError``.
 
 The service time of one queue window is the slower of the data bus
 (``t_burst`` per transaction) and the busiest bank
@@ -90,8 +102,9 @@ import numpy as np
 
 from ..config import DramConfig
 
-#: Largest composite sort key (int64 max).
-_KEY_LIMIT = np.iinfo(np.int64).max
+#: Bits the sort key's fields may use: every key stays a non-negative
+#: int64.
+_KEY_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -178,12 +191,12 @@ def service_timeline(
     ``queue_depth`` overrides ``dram.queue_depth``; the replay's
     reorder horizon is ``2 * queue_depth`` (see the module docstring).
 
-    Fully vectorized — one sort and segmented reductions over it;
-    bit-exact against
+    Fully vectorized — one sort of a bit-field key, then shifts, masks
+    and scatters over its runs; bit-exact against
     :func:`repro.axipack.reference.service_timeline_reference`
     (enforced by the property-based differential suite).  Raises
     ``ValueError`` for a queue depth below 1, or for a stream whose
-    sort key would overflow int64 even over dense row ranks.
+    key fields need more than 63 bits even over dense row ranks.
     """
     depth = dram.queue_depth if queue_depth is None else int(queue_depth)
     if depth < 1:
@@ -196,63 +209,108 @@ def service_timeline(
 
     num_banks = dram.num_banks
     num_windows = -(-n // horizon)
-    banks = blocks & (num_banks - 1)  # num_banks is a power of two
     rows = blocks // (num_banks * dram.blocks_per_row)
     row_base = int(rows.min())
     row_span = int(rows.max()) - row_base + 1
-    if num_banks * num_windows * row_span * horizon > _KEY_LIMIT:
+    # The key's fields, most significant first: bank | queue window |
+    # row | slot, each as wide as its largest value.
+    bank_bits = (num_banks - 1).bit_length()
+    window_bits = (num_windows - 1).bit_length()
+    slot_bits = (horizon - 1).bit_length()
+    fixed_bits = bank_bits + window_bits + slot_bits
+    if fixed_bits + (row_span - 1).bit_length() > _KEY_BITS:
         # Far-apart rows: key on their dense ranks instead.
         distinct, rows = np.unique(rows, return_inverse=True)
         row_base, row_span = 0, int(distinct.size)
-        if num_banks * num_windows * row_span * horizon > _KEY_LIMIT:
+        if fixed_bits + (row_span - 1).bit_length() > _KEY_BITS:
             raise ValueError("stream too long for the int64 timeline key")
-    rows -= row_base
+    if row_base:
+        rows -= row_base
+    row_bits = (row_span - 1).bit_length()
+    cell_shift = slot_bits  # key >> cell_shift: (bank, window, row)
+    group_shift = row_bits + slot_bits  # key >> group_shift: (bank, window)
 
-    # One sort of the bank-major key (bank, queue window, row, slot).
-    # The slot — the request's place in its window — makes every key
-    # distinct and keeps the stream position inside the sorted key.
-    window = np.repeat(np.arange(num_windows, dtype=np.int64), horizon)[:n]
-    slot = np.tile(np.arange(horizon, dtype=np.int64), num_windows)[:n]
-    key = ((banks * num_windows + window) * row_span + rows) * horizon + slot
+    # One sort of the bank-major key.  The slot — the request's place
+    # in its window — makes every key distinct and keeps the stream
+    # position inside the sorted key.  Window and slot are one
+    # broadcast over the (window, slot) grid, cut to the stream; the
+    # row and bank fields are shifted in one scratch array.
+    width = min(horizon, n)
+    key = np.empty((num_windows, width), dtype=np.int64)
+    np.bitwise_or(
+        np.arange(num_windows, dtype=np.int64)[:, None] << group_shift,
+        np.arange(width, dtype=np.int64),
+        out=key,
+    )
+    key = key.reshape(-1)[:n]
+    scratch = rows
+    scratch <<= slot_bits
+    key |= scratch
+    np.bitwise_and(blocks, num_banks - 1, out=scratch)
+    scratch <<= window_bits + group_shift
+    key |= scratch
     key.sort()
 
     # Runs of equal (bank, window, row) are a group's distinct rows;
     # runs of equal (bank, window) among them are the groups.  A run's
     # last key holds its newest slot.
-    cell = key // horizon
-    run_last = np.flatnonzero(np.r_[cell[1:] != cell[:-1], True])
-    run_cell = cell[run_last]
-    run_slot = key[run_last] - run_cell * horizon
-    run_group = run_cell // row_span
-    group_first = np.flatnonzero(np.r_[True, run_group[1:] != run_group[:-1]])
-    group_id = run_group[group_first]
-    group_bank = group_id // num_windows
-    group_window = group_id - group_bank * num_windows
-    group_end = np.r_[group_first[1:], run_cell.size]
-    distinct_rows = group_end - group_first
-    group_size = np.diff(np.r_[-1, run_last[group_end - 1]])
+    cell = np.right_shift(key, cell_shift, out=scratch)
+    edge = np.empty(n, dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=edge[:-1])
+    edge[-1] = True
+    run_last = np.flatnonzero(edge)
+    run_key = key[run_last]
+    run_cell = run_key >> cell_shift
+    run_group = run_key >> group_shift
+    num_runs = int(run_last.size)
+    group_edge = np.empty(num_runs, dtype=bool)
+    np.not_equal(run_group[1:], run_group[:-1], out=group_edge[:-1])
+    group_edge[-1] = True
+    group_last = np.flatnonzero(group_edge)  # each group's last run
+    num_groups = int(group_last.size)
+    group_id = run_group[group_last]
+    group_bank = group_id >> window_bits
+    group_window = group_id & ((1 << window_bits) - 1)
+    distinct_rows = np.diff(group_last, prepend=-1)
+    group_size = np.diff(run_last[group_last], prepend=-1)
 
-    # Open row carried into each group: the row of the newest request
-    # of the previous group, if that group is the same bank's (an
-    # earlier window — the order is bank-major).  It is a first-ready
-    # hit when the group holds a request with that row, i.e. when the
-    # carried (bank, window, row) is among the sorted runs.
-    newest = np.maximum.reduceat(run_slot, group_first) + group_window * horizon
-    carried = group_id[1:] * row_span + rows[newest[:-1]]
-    found = run_cell.take(np.searchsorted(run_cell, carried), mode="clip")
+    # The row a group leaves open is that of its newest request: the
+    # largest of its runs' (slot, row) tags — slots are distinct, so
+    # the slot decides — scattered through the run-to-group index.
+    run_to_group = np.repeat(np.arange(num_groups, dtype=np.int64), distinct_rows)
+    row_mask = (1 << row_bits) - 1
+    tag = run_key & ((1 << slot_bits) - 1)
+    tag <<= row_bits
+    tag |= run_cell & row_mask
+    newest = np.zeros(num_groups, dtype=np.int64)
+    np.maximum.at(newest, run_to_group, tag)
+
+    # Open row carried into each group: the newest row of the previous
+    # group, if that group is the same bank's (an earlier window — the
+    # order is bank-major).  It is a first-ready hit when one of the
+    # group's runs is that (bank, window, row) cell.
     same_bank = group_bank[1:] == group_bank[:-1]
-    carry_hit = np.r_[False, same_bank & (found == carried)]
+    carried = np.full(num_groups, -1, dtype=np.int64)
+    carried[1:] = np.where(
+        same_bank, (group_id[1:] << row_bits) | (newest[:-1] & row_mask), -1
+    )
+    hit = run_cell == carried[run_to_group]
+    carry_hit = np.zeros(num_groups, dtype=np.int64)
+    carry_hit[run_to_group[hit]] = 1
     # A bank's first group has no carried row: its first activate is cold.
-    cold = int(group_id.size - np.count_nonzero(same_bank))
+    cold = int(num_groups - np.count_nonzero(same_bank))
 
     activates = distinct_rows - carry_hit
     bank_time = np.maximum(group_size * dram.t_burst, activates * dram.t_rc)
 
     # One queue window's service time: data bus vs its busiest bank.
-    window_time = np.zeros(num_windows, dtype=np.int64)
+    # Every window but the last holds ``horizon`` transactions.
+    window_time = np.empty(num_windows, dtype=np.int64)
+    if num_windows > 1:
+        window_time[:-1] = horizon * dram.t_burst
+    window_time[-1] = (n - (num_windows - 1) * horizon) * dram.t_burst
     np.maximum.at(window_time, group_window, bank_time)
-    bus = np.bincount(window, minlength=num_windows) * dram.t_burst
-    cycles = int(np.maximum(bus, window_time).sum())
+    cycles = int(window_time.sum())
 
     refreshes = 0
     if dram.t_refi > 0:

@@ -65,10 +65,16 @@ class CooMatrix:
         keys = keys[order]
         vals = self.vals[order]
 
-        unique_keys, first_pos = np.unique(keys, return_index=True)
+        # The keys are sorted: each run of equal keys starts where a key
+        # differs from its left neighbour.
+        starts = np.empty(keys.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        first_pos = np.flatnonzero(starts)
+        unique_keys = keys[first_pos]
         summed = np.add.reduceat(vals, first_pos)
-        rows = (unique_keys // self.ncols).astype(np.int64)
-        cols = (unique_keys % self.ncols).astype(np.uint32)
+        rows = unique_keys // self.ncols
+        cols = (unique_keys - rows * self.ncols).astype(np.uint32)
 
         row_counts = np.bincount(rows, minlength=self.nrows)
         row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)

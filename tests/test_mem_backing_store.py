@@ -1,10 +1,17 @@
-"""Backing store: allocation, typed access, bounds."""
+"""Backing store: allocation, typed access, bounds, residency."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import MemoryModelError
 from repro.mem.backing_store import BackingStore
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_alloc_is_aligned():
@@ -75,3 +82,26 @@ def test_bytes_allocated_tracks_high_water():
 def test_invalid_size_rejected():
     with pytest.raises(MemoryModelError):
         BackingStore(0)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+def test_untouched_pages_stay_unresident():
+    """A sparse write pattern over a large store makes only the pages
+    it touches resident: a 512 MB store written one word every 64 KB
+    must grow the peak RSS by far less than its size."""
+    script = """
+import resource
+import numpy as np
+from repro.mem.backing_store import BackingStore
+
+size = 512 << 20
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+store = BackingStore(size)
+store.scatter_typed(np.arange(0, size, 64 << 10), np.ones(size // (64 << 10)))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert int(out.stdout) < 128  # MB of growth

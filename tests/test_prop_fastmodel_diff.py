@@ -17,8 +17,9 @@ Two vectorized kernels are pinned here:
 * :func:`~repro.mem.timeline.service_timeline` (the bank-state DRAM
   timeline) against its walking oracle, including adversarial
   single-bank and row-thrash streams where the bank dimension
-  degenerates, and ids over the whole int64 range, where the replay
-  keys on dense row ranks.
+  degenerates, ids over the whole int64 range, where the replay keys
+  on dense row ranks, random DRAM geometries, and streams whose key
+  fields sit exactly at the 63-bit limit.
 
 Oracle-independent floors back the timeline up: on row-thrash streams
 — globally distinct rows, so FR-FCFS reordering has nothing to merge —
@@ -29,6 +30,7 @@ activates than an in-order open-row walk.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +118,18 @@ def wide_block_streams(draw):
     blocks[rebank] = (blocks[rebank] & ~0xFF) | rng.integers(0, 0x100, rebank.sum())
     blocks[rng.choice(count, 2, replace=False)] = (i64.min, i64.max)
     return blocks
+
+
+@st.composite
+def dram_geometries(draw):
+    """DRAM geometries beyond the default: the timeline key's field
+    widths follow the bank count, the blocks per row (not always a
+    power of two), the queue depth and the stream length."""
+    return DramConfig(
+        num_banks=draw(st.sampled_from([1, 2, 4, 16, 64])),
+        row_bytes=64 * draw(st.integers(1, 40)),
+        t_refi=draw(st.sampled_from([0, 3900])),
+    )
 
 
 windows = st.integers(min_value=1, max_value=300)
@@ -225,6 +239,14 @@ class TestTimelineDifferential:
         dense row ranks, still match the walking oracle exactly."""
         assert_timeline_matches_oracle(blocks, DramConfig(), queue_depth)
 
+    @given(blocks=any_block_streams, dram=dram_geometries(), queue_depth=queue_depths)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_exact_across_dram_geometries(self, blocks, dram, queue_depth):
+        """Bank counts from 1 to 64, rows of 1 to 40 blocks, refresh
+        on or off: the key's field widths change with every draw, and
+        the replay still matches the walking oracle exactly."""
+        assert_timeline_matches_oracle(blocks, dram, queue_depth)
+
     @given(blocks=row_thrash_streams(), queue_depth=queue_depths)
     @settings(max_examples=150, deadline=None)
     def test_row_thrash_never_undercuts_legacy_bound(self, blocks, queue_depth):
@@ -269,3 +291,47 @@ class TestTimelineDifferential:
             assert result.activates <= in_order
             assert result.bank_busy.max() <= result.cycles
             assert (result.occupancy() <= 1.0).all()
+
+
+class TestTimelineKeyWidth:
+    """The sort key's four fields (bank, queue window, row, slot) may
+    use 63 bits, so every key is a non-negative int64.  One bank and
+    one block per row make the rows the block ids themselves."""
+
+    DRAM = DramConfig(num_banks=1, row_bytes=64)
+
+    @staticmethod
+    def ranked(monkeypatch, blocks, dram, queue_depth):
+        """Price ``blocks`` and report whether the rows were ranked
+        (the rank path is the replay's only ``np.unique``)."""
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        assert_timeline_matches_oracle(blocks, dram, queue_depth)
+        return bool(calls)
+
+    def test_exactly_63_bits_price_raw_rows(self, monkeypatch):
+        # Two windows (1 bit) of two slots (1 bit) and a 61-bit row span.
+        far = (1 << 61) - 1
+        blocks = np.array([0, far, far, 0], dtype=np.int64)
+        assert not self.ranked(monkeypatch, blocks, self.DRAM, 1)
+
+    def test_one_bit_more_takes_the_rank_path(self, monkeypatch):
+        far = (1 << 62) - 1  # a 62-bit row span: 64 bits in all
+        blocks = np.array([0, far, far, 0], dtype=np.int64)
+        assert self.ranked(monkeypatch, blocks, self.DRAM, 1)
+
+    def test_ranks_within_63_bits_are_priced(self, monkeypatch):
+        # A 62-bit slot field leaves one bit: two distinct rows fit.
+        blocks = np.array([0, 10**15, 0], dtype=np.int64)
+        assert self.ranked(monkeypatch, blocks, self.DRAM, 1 << 61)
+
+    def test_ranks_needing_64_bits_are_refused(self):
+        blocks = np.array([0, 5, 10**15], dtype=np.int64)  # three rows
+        with pytest.raises(ValueError, match="too long"):
+            service_timeline(blocks, self.DRAM, 1 << 61)

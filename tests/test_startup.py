@@ -37,6 +37,14 @@ from repro.__main__ import main
 assert main(["sweep", "pwtk", "MLPnc,MLP64", "--nnz", "4000", "--workers", "1"]) == 0
 """
 
+STRIDED_SWEEP = """
+from repro.__main__ import main
+assert main([
+    "sweep", "linear", "s64,s4096", "--backend", "strided",
+    "--nnz", "2000", "--workers", "1",
+]) == 0
+"""
+
 SERVED_SWEEP = """
 from repro.engine import SweepExecutor
 from repro.serve import JobManager
@@ -58,6 +66,10 @@ def loaded_after(script: str, modules: tuple[str, ...]) -> list[str]:
 
 def test_fast_cli_sweep_loads_no_cycle_model():
     assert loaded_after(CLI_SWEEP, (*NOT_FOR_FAST_WORK, "repro.serve.jobs")) == []
+
+
+def test_fast_strided_sweep_loads_no_cycle_model():
+    assert loaded_after(STRIDED_SWEEP, NOT_FOR_FAST_WORK) == []
 
 
 def test_fast_served_sweep_loads_no_cycle_model():
