@@ -1,11 +1,12 @@
 """Sharded sweep executor acceptance gate.
 
-The PR that introduced backend sharding claims a single-matrix sweep —
-the shape of every fig4-style ablation, previously a single serial
-pool task — now saturates the worker pool.  The gate: with
-``REPRO_WORKERS=4`` and ``--shards auto``, a one-matrix window sweep
-through the cycle-accurate adapter model must run **>= 2.5x** faster
-than the serial executor, while producing byte-identical rows.
+A single-matrix cycle-model sweep — the shape of every fig4-style
+ablation — is one group, and the executor splits a cycle-model group's
+variants into ``ceil(workers / computed groups)`` shard tasks, so one
+such group saturates the worker pool.  The gate: with
+``REPRO_WORKERS=4``, a one-matrix window sweep through the
+cycle-accurate adapter model must run **>= 2.5x** faster than the
+serial executor, while producing byte-identical rows.
 
 Skipped when the host has fewer than 4 cores — a parallel speedup
 cannot be demonstrated without parallel hardware.
@@ -32,18 +33,18 @@ CYCLE_NNZ = 12_000
 
 @pytest.mark.skipif(CORES < 4, reason=f"needs >= 4 cores, have {CORES}")
 def test_bench_sharded_single_matrix_speedup(benchmark, monkeypatch):
-    """>= 2.5x wall-clock at REPRO_WORKERS=4 / shards auto, rows equal."""
+    """>= 2.5x wall-clock at REPRO_WORKERS=4, rows equal."""
     monkeypatch.setenv("REPRO_WORKERS", "4")
     points = grid_points(
         "adapter", (MATRIX,), VARIANTS, max_nnz=CYCLE_NNZ, model="cycle"
     )
 
     t0 = time.perf_counter()
-    serial_rows = SweepExecutor(workers=1, shards=1).run(points)
+    serial_rows = SweepExecutor(workers=1).run(points)
     serial_seconds = time.perf_counter() - t0
 
     def sharded():
-        return SweepExecutor(shards="auto").run(points)  # workers from env
+        return SweepExecutor().run(points)  # workers from env
 
     sharded_rows = benchmark.pedantic(sharded, rounds=3, iterations=1)
     sharded_seconds = benchmark.stats.stats.min

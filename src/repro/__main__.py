@@ -24,9 +24,9 @@
 
 Experiment, sweep and report commands accept engine flags:
 
-``--workers N``   fan the grid out over N worker processes
-``--shards S``    split each matrix group's variants into up to S
-                  shard tasks (``auto`` = one per worker)
+``--workers N``   fan the grid out over N worker processes (a
+                  cycle-model matrix group splits its variants over
+                  them; the engine plans the split)
 ``--nnz N``       per-matrix nonzero budget
 ``--model M``     adapter timing model, ``fast`` or ``cycle``
 ``--quick``       tiny canary run (3 small matrices, 12k nonzeros)
@@ -59,8 +59,8 @@ warm across requests (see ARCHITECTURE.md, "Sweep as a service"):
 ``--stdio``            JSON-lines over stdin/stdout instead of HTTP
 ``--cache N``          response-cache slots (default 128)
 ``--verbose``          log each request
-``--workers/--shards/--store``  as above (``--store`` names the result
-                       store served as the experiment response cache)
+``--workers/--store``  as above (``--store`` names the result store
+                       served as the experiment response cache)
 
 ``corpus`` sweeps a declared matrix corpus resumably:
 
@@ -84,17 +84,17 @@ warm across requests (see ARCHITECTURE.md, "Sweep as a service"):
 ``--offline/--fetch``  offline is the default: only cached/local
                        matrices; ``--fetch`` allows downloads
 ``--keep-going``       record failed entries and continue
-``--nnz/--model/--quick/--workers/--shards/--trace``  as above
+``--nnz/--model/--quick/--workers/--trace``  as above
 
 Bare ``report`` means ``report run``.  A command line is parsed into
 the JSON request a client would send to ``serve``, and
 ``repro.serve.protocol.canonicalize`` validates its knobs exactly as
-it does for the service.  Environment knobs: ``REPRO_WORKERS`` and
-``REPRO_SHARDS`` default ``--workers``/``--shards`` wherever the engine
-runs; ``REPRO_SCALE_NNZ`` and ``REPRO_ADAPTER_MODEL`` default
-``--nnz``/``--model`` for the experiment commands and ``report`` only
-(a ``--quick`` run keeps its own scale; ``sweep``, ``stream``,
-``corpus run`` and served requests never read them).
+it does for the service.  Environment knobs: ``REPRO_WORKERS``
+defaults ``--workers`` wherever the engine runs; ``REPRO_SCALE_NNZ``
+and ``REPRO_ADAPTER_MODEL`` default ``--nnz``/``--model`` for the
+experiment commands and ``report`` only (a ``--quick`` run keeps its
+own scale; ``sweep``, ``stream``, ``corpus run`` and served requests
+never read them).
 """
 
 from __future__ import annotations
@@ -143,7 +143,6 @@ def _grammar() -> tuple[_Parser, dict]:
     quick.add_argument("--quick", action="store_true")
     engine = _Parser(add_help=False)
     engine.add_argument("--workers", type=int)
-    engine.add_argument("--shards")
     paths = _Parser(add_help=False)
     paths.add_argument("--store")
     paths.add_argument("--cache")
@@ -220,11 +219,9 @@ def _payload(args, cmd: str) -> dict:
 
 
 def _executor(args) -> SweepExecutor:
-    """The engine for this line (``SweepExecutor`` checks the flags;
-    commands without them fall back to the env knobs)."""
-    return SweepExecutor(
-        getattr(args, "workers", None), shards=getattr(args, "shards", None)
-    )
+    """The engine for this line (``SweepExecutor`` checks ``--workers``;
+    commands without it fall back to ``REPRO_WORKERS``)."""
+    return SweepExecutor(getattr(args, "workers", None))
 
 
 def _tracing(args):
@@ -297,7 +294,7 @@ def _sweep(args) -> int:
             f"engine: {stats['groups']} groups, {stats['tasks']} tasks, "
             f"cache {stats['cache_hits']} hits / {stats['cache_misses']} misses "
             f"/ {stats['cache_evictions']} evictions "
-            f"(workers={executor.workers}, shards={executor.shards})"
+            f"(workers={executor.workers})"
         )
     return 0
 
@@ -337,7 +334,7 @@ def _report_paths(mode: str, args) -> tuple[Path, Path]:
 def _report(args) -> int:
     from .report import check_report, render_report, run_report
 
-    knobs = (args.max_nnz, args.model, args.workers, args.shards)
+    knobs = (args.max_nnz, args.model, args.workers)
     if args.mode == "render" and (
         args.check or args.quick or any(knob is not None for knob in knobs)
     ):
@@ -359,7 +356,6 @@ def _report(args) -> int:
             max_nnz=args.max_nnz,
             model=args.model,
             workers=args.workers,
-            shards=args.shards,
         )
         if mode == "check":
             return 1 if check_report(store, out, **kwargs) else 0

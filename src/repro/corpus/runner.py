@@ -375,15 +375,16 @@ class CorpusRunner:
         return _normalize_rows(rows)
 
     def iter_groups(self) -> Iterator[tuple]:
-        """Yield ``(entry, status, rows)`` per corpus entry, in corpus
-        order; status ∈ ``computed`` / ``skipped`` / ``failed``.
+        """Yield ``(entry, status, rows, slug)`` per corpus entry, in
+        corpus order; status ∈ ``computed`` / ``skipped`` / ``failed``,
+        and ``slug`` names the entry's job key (``None`` when it
+        failed).
 
         Counter totals are folded into the executor's stats when the
         iteration ends — including via an injected fault or an error —
         so interrupted runs still report their progress.
         """
         completed = self._manifest_completed()
-        counted = False
         try:
             for entry in self.corpus.entries:
                 self.counts["corpus_groups"] += 1
@@ -393,18 +394,18 @@ class CorpusRunner:
                 with obs_trace.span(
                     "corpus.entry", entry=entry.name
                 ) as entry_span:
-                    status, rows = self._run_entry(entry, completed)
+                    status, rows, slug = self._run_entry(entry, completed)
                     entry_span.set(status=status, rows=len(rows))
-                yield entry, status, rows
+                yield entry, status, rows, slug
         finally:
-            if not counted:
-                counted = True
-                self.executor.add_stats(**self.counts)
+            self.executor.add_stats(**self.counts)
 
-    def _run_entry(self, entry, completed: set[str]) -> tuple[str, list[dict]]:
+    def _run_entry(
+        self, entry, completed: set[str]
+    ) -> tuple[str, list[dict], str | None]:
         """Resolve, replay-or-compute, and journal one corpus entry;
-        returns its ``(status, rows)``.  Non-``keep_going`` failures
-        propagate."""
+        returns its ``(status, rows, slug)``.  Non-``keep_going``
+        failures propagate."""
         try:
             engine_name, digest, nnz_slot = self._resolve(entry)
         except ReproError as exc:
@@ -412,14 +413,14 @@ class CorpusRunner:
             self._note(f"  {entry.name}: FAILED ({exc})")
             if not self.keep_going:
                 raise
-            return "failed", []
+            return "failed", [], None
         key = self.group_key(entry, digest)
         slug = self._slug(key)
         rows = self._replay(slug, key) if slug in completed else None
         if rows is not None:
             self.counts["corpus_skipped"] += 1
             self._note(f"  {entry.name}: skipped (journaled)")
-            return "skipped", rows
+            return "skipped", rows, slug
         try:
             points = grid_points(
                 self.kind, (engine_name,), self.variants,
@@ -431,13 +432,13 @@ class CorpusRunner:
             self._note(f"  {entry.name}: FAILED ({exc})")
             if not self.keep_going:
                 raise
-            return "failed", []
+            return "failed", [], None
         self._record_completed(slug, key, entry, rows)
         self.counts["corpus_computed"] += 1
         self._note(f"  {entry.name}: computed ({len(rows)} rows)")
         if self.fault_hook is not None:
             self.fault_hook(self.counts["corpus_computed"])
-        return "computed", rows
+        return "computed", rows, slug
 
     def run(self) -> dict:
         """Execute (or resume) the whole corpus; persist tier tables.
@@ -465,7 +466,7 @@ class CorpusRunner:
         entry_records: list[dict] = []
         completed_slugs: list[str] = []
         try:
-            for entry, status, rows in self.iter_groups():
+            for entry, _status, rows, slug in self.iter_groups():
                 all_rows.extend(rows)
                 entry_records.append(
                     {
@@ -475,15 +476,8 @@ class CorpusRunner:
                         "rows": len(rows),
                     }
                 )
-                if status != "failed":
-                    digest = (
-                        f"suite-seed-{SUITE_SEED}"
-                        if entry.source == "synthetic"
-                        else self.cache.source_digest(entry)
-                    )
-                    completed_slugs.append(
-                        self._slug(self.group_key(entry, digest))
-                    )
+                if slug is not None:
+                    completed_slugs.append(slug)
         finally:
             if self._owns_executor:
                 self.executor.close()

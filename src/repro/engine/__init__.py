@@ -13,9 +13,11 @@ and the stream's block-id analysis.  This package factors that into
   :func:`grid_points` builds every kind's grid,
 * :mod:`repro.engine.cache` — the keyed per-matrix analysis cache,
 * :mod:`repro.engine.executor` — :class:`SweepExecutor`, which groups
-  points per matrix, splits each group's variants into shard tasks,
-  optionally fans them out over a ``concurrent.futures`` process pool,
-  and returns a tidy result table (one dict per point, input order).
+  points per matrix, plans each group's shard tasks from the worker
+  count and the run's groups (a cycle-model group splits its variants
+  to fill a pool, any other group is one task), optionally fans them
+  out over a ``concurrent.futures`` process pool, and returns a tidy
+  result table (one dict per point, input order).
 
 Every experiment runner and benchmark goes through this engine, and
 :mod:`repro.report` persists the resulting tables.  Quick tour::
@@ -37,12 +39,7 @@ from .backends import (
     registered_kinds,
 )
 from .cache import AnalysisCache
-from .executor import (
-    SweepExecutor,
-    resolve_shards,
-    shards_from_env,
-    workers_from_env,
-)
+from .executor import SweepExecutor, workers_from_env
 from .points import (
     ADAPTER_KIND,
     MULTICHANNEL_KIND,
@@ -56,8 +53,6 @@ __all__ = [
     "AnalysisCache",
     "SweepExecutor",
     "workers_from_env",
-    "shards_from_env",
-    "resolve_shards",
     "SweepPoint",
     "SweepBackend",
     "ShardTask",

@@ -26,11 +26,11 @@ kind                      evaluates
 
 Sharding contract: a shard task is a contiguous chunk of one group's
 variants, never a piece of a variant's stream, so every row is computed
-whole by :meth:`SweepBackend.run_group`.  For any registered backend,
-any shard count and any worker count, ``merge(split(...))`` reproduces
-the serial result table **byte-for-byte**
-(``tests/test_engine_backends.py`` property-tests this for every
-registered kind).
+whole by :meth:`SweepBackend.run_group`.  For any registered backend
+and any number of pieces, ``merge(split(...))`` reproduces the serial
+result table **byte-for-byte** (``tests/test_engine_backends.py``
+property-tests this for every registered kind); the executor picks the
+number of pieces.
 """
 
 from __future__ import annotations
@@ -150,12 +150,12 @@ class SweepBackend:
     # -- sharding ----------------------------------------------------------
 
     def split(
-        self, group_key: tuple, variants: tuple[str, ...], shards: int
+        self, group_key: tuple, variants: tuple[str, ...], pieces: int
     ) -> list[ShardTask]:
-        """Split one group's variants into at most ``shards`` contiguous
-        chunks, one shard task each (one per variant when ``shards``
+        """Split one group's variants into at most ``pieces`` contiguous
+        chunks, one shard task each (one per variant when ``pieces``
         exceeds the variant count)."""
-        pieces = max(1, min(shards, len(variants)))
+        pieces = max(1, min(pieces, len(variants)))
         if pieces == 1:
             return [ShardTask(group_key, tuple(variants))]
         bounds = np.linspace(0, len(variants), pieces + 1).astype(int)

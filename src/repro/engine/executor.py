@@ -9,6 +9,16 @@ each — and the shard tasks run either serially in-process or across a
 ``concurrent.futures.ProcessPoolExecutor``.  Finished shards are
 **merged** back into the group's rows and reassembled in point order.
 
+The executor plans the split itself, from the worker count and the
+groups a run computes (:meth:`SweepExecutor._plan`); no option sets
+it.  With one worker, and for every fast-model group, a group is one
+task: a fast group's work is dominated by the matrix analysis and
+memory-term memo that every shard would rebuild.  At ``workers > 1`` a
+cycle-model group — whose variants are independent simulations —
+splits into ``ceil(workers / computed groups)`` chunks, so a
+one-matrix cycle sweep or corpus entry fills the pool while a
+many-group run keeps one task per group.
+
 The pool is a *persistent* resource: it is spawned lazily on the first
 pooled :meth:`SweepExecutor.run` and reused by every later run of the
 same executor, which is what lets a long-lived server
@@ -114,43 +124,6 @@ def workers_from_env(default: int = 1) -> int:
     return value
 
 
-def shards_from_env(default: int | str = 1) -> int | str:
-    """Shard knob from ``REPRO_SHARDS``: an integer or ``auto``.
-
-    ``auto`` resolves to the worker count at executor construction
-    (one shard task per worker and matrix group); ``1`` (the default)
-    keeps whole-group tasks.
-    """
-    raw = os.environ.get("REPRO_SHARDS", "")
-    if not raw:
-        return default
-    if raw == "auto":
-        return "auto"
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ExperimentError(f"bad REPRO_SHARDS={raw!r} (integer or 'auto')") from exc
-    if value < 1:
-        raise ExperimentError("REPRO_SHARDS must be >= 1")
-    return value
-
-
-def resolve_shards(shards: int | str | None, workers: int) -> int:
-    """Normalise a shard setting (``None`` → env knob, ``"auto"`` →
-    ``workers``) to a concrete positive integer."""
-    if shards is None:
-        shards = shards_from_env()
-    if shards == "auto":
-        return max(1, workers)
-    try:
-        value = int(shards)
-    except (TypeError, ValueError) as exc:
-        raise ExperimentError(f"bad shard count {shards!r}") from exc
-    if value < 1:
-        raise ExperimentError("shard count must be >= 1")
-    return value
-
-
 def _init_worker(config: dict) -> None:
     """Pool initializer: seed worker-local telemetry state.
 
@@ -208,14 +181,11 @@ class SweepExecutor:
     serially in-process; ``workers>1`` fans shard tasks out over a
     process pool that is spawned lazily on the first pooled run and
     then **reused** by every subsequent :meth:`run` until
-    :meth:`close` (the executor is also a context manager).  ``shards``
-    sets how many contiguous variant chunks each matrix group splits
-    into, at most one per variant (``"auto"`` = one per worker, so a
-    single-matrix sweep of several variants fills the pool; default 1 =
-    whole-group tasks, ``REPRO_SHARDS`` supplies the default).
-    Results are byte-identical for every (workers, shards)
-    combination.  Finished rows stay in the executor's bounded row
-    memo, so a later run evaluates only the points it has not seen.
+    :meth:`close` (the executor is also a context manager).  How a
+    group splits into shard tasks follows from the worker count and
+    the run's groups (:meth:`_plan`).  Results are byte-identical for
+    every worker count.  Finished rows stay in the executor's bounded
+    row memo, so a later run evaluates only the points it has not seen.
 
     Example — the README's two-matrix adapter sweep::
 
@@ -228,13 +198,10 @@ class SweepExecutor:
         [3.5, 27.9]
     """
 
-    def __init__(
-        self, workers: int | None = None, shards: int | str | None = None
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = workers_from_env() if workers is None else int(workers)
         if self.workers < 1:
             raise ExperimentError("SweepExecutor needs at least one worker")
-        self.shards = resolve_shards(shards, self.workers)
         self._pool: ProcessPoolExecutor | None = None
         #: row_key -> finished row, insertion-ordered for oldest-first
         #: eviction.  Only run_stream touches it; the dicts in it are
@@ -317,6 +284,12 @@ class SweepExecutor:
         """Bucket points into groups and split the variants the row
         memo lacks into shard tasks.
 
+        The split rule: with one worker, and for every fast-model
+        group, a computed group is one task.  At ``workers > 1`` a
+        cycle-model group splits into ``ceil(workers / computed
+        groups)`` contiguous variant chunks, at most one per variant
+        (:meth:`~repro.engine.backends.SweepBackend.split`).
+
         Returns every group's distinct variants, each computed group's
         missing variants, the tasks, and each computed group's slice
         of them.  A group the memo fully answers has no entry in the
@@ -329,15 +302,18 @@ class SweepExecutor:
                 variants.append(point.variant)
 
         missing: dict[tuple, tuple[str, ...]] = {}
-        tasks: list[ShardTask] = []
-        group_slices: dict[tuple, slice] = {}
         for key, variants in groups.items():
             lacking = tuple(v for v in variants if (*key, v) not in self._rows)
             if lacking:
-                split = get_backend(key[0]).split(key, lacking, self.shards)
                 missing[key] = lacking
-                group_slices[key] = slice(len(tasks), len(tasks) + len(split))
-                tasks.extend(split)
+        cycle_pieces = -(-self.workers // max(1, len(missing)))
+        tasks: list[ShardTask] = []
+        group_slices: dict[tuple, slice] = {}
+        for key, lacking in missing.items():
+            pieces = cycle_pieces if key[4] == "cycle" else 1
+            split = get_backend(key[0]).split(key, lacking, pieces)
+            group_slices[key] = slice(len(tasks), len(tasks) + len(split))
+            tasks.extend(split)
         return (
             {key: tuple(variants) for key, variants in groups.items()},
             missing,
@@ -509,8 +485,9 @@ class SweepExecutor:
         this executor already evaluated (in this run or an earlier
         one, while the row memo still holds it) is answered from the
         memo, so each distinct point is evaluated once per executor.
-        The rest of each group's variants split into up to ``shards``
-        contiguous chunks, one shard task each; the tasks run —
+        The rest of each group's variants form one shard task, or, for
+        a cycle-model group on a pool, contiguous chunks (:meth:`_plan`);
+        the tasks run —
         serially in-process, or largest-first over the persistent
         process pool when ``workers>1`` and there is more than one
         task — and each group's shard rows merge back in variant

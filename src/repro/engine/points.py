@@ -75,11 +75,11 @@ class SweepPoint:
     def group_key(self) -> tuple:
         """Points sharing this key share all per-matrix analysis.
 
-        The executor runs one pool task per distinct group key (or a
-        set of shard tasks when sharding is enabled), so the key
-        deliberately excludes ``variant``: every variant of one
-        (kind, matrix, fmt, scale, model) combination reuses the same
-        cached stream/analysis.
+        The executor runs one task per distinct group key (or, for a
+        cycle-model group on a process pool, a few shard tasks of its
+        variants), so the key deliberately excludes ``variant``: every
+        variant of one (kind, matrix, fmt, scale, model) combination
+        reuses the same cached stream/analysis.
 
         >>> SweepPoint("pwtk", "MLP256").group_key
         ('adapter', 'pwtk', 'sell', 60000, 'fast')

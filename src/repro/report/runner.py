@@ -18,7 +18,7 @@ import time
 from itertools import zip_longest
 from pathlib import Path
 
-from ..engine import SweepExecutor, resolve_shards, workers_from_env
+from ..engine import SweepExecutor, workers_from_env
 from ..errors import ExperimentError
 from ..obs import trace as obs_trace
 from ..experiments import (
@@ -69,18 +69,15 @@ def _resolve(
     model: str | None,
     workers: int | None,
     matrices: tuple[str, ...] | None = None,
-    shards: int | str | None = None,
 ) -> dict:
     """Turn CLI/env knobs into the manifest's run configuration."""
     if matrices is None and quick:
         matrices = QUICK_MATRICES
-    resolved_workers = workers if workers is not None else workers_from_env()
     return {
         "matrices": list(matrices) if matrices else None,
         "scale_nnz": max_nnz or (QUICK_NNZ if quick else scale_from_env()),
         "adapter_model": model or adapter_model_from_env(),
-        "workers": resolved_workers,
-        "shards": resolve_shards(shards, resolved_workers),
+        "workers": workers if workers is not None else workers_from_env(),
         "seed": SUITE_SEED,
     }
 
@@ -106,7 +103,6 @@ def run_report(
     max_nnz: int | None = None,
     model: str | None = None,
     workers: int | None = None,
-    shards: int | str | None = None,
     matrices: tuple[str, ...] | None = None,
     experiments: tuple[str, ...] | None = None,
     corpus: str | None = None,
@@ -119,7 +115,7 @@ def run_report(
     (tests use this to keep store round-trips fast); claims whose
     experiment is excluded are recorded as ``missing``.  The manifest
     records each experiment's sweep backends (drift-checked) alongside
-    the volatile execution knobs (workers, shards, cache totals).
+    the volatile execution knobs (workers, cache totals).
 
     ``corpus`` names a corpus whose family roll-up rides along in the
     store (``corpus_<kind>.csv`` + ``corpus_rollup.csv`` tables and a
@@ -136,8 +132,8 @@ def run_report(
     if corpus is None:
         corpus = "quick" if (quick and experiments is None) else ""
 
-    config = _resolve(quick, max_nnz, model, workers, matrices, shards)
-    executor = SweepExecutor(config["workers"], shards=config["shards"])
+    config = _resolve(quick, max_nnz, model, workers, matrices)
+    executor = SweepExecutor(config["workers"])
     store = ResultStore(store_dir)
 
     results: dict[str, dict] = {}
@@ -145,8 +141,7 @@ def run_report(
     started = time.time()
     print(
         f"# report run (scale={config['scale_nnz']}, "
-        f"model={config['adapter_model']}, workers={config['workers']}, "
-        f"shards={config['shards']})",
+        f"model={config['adapter_model']}, workers={config['workers']})",
         file=stream,
     )
     try:
@@ -278,7 +273,6 @@ def check_report(
     max_nnz: int | None = None,
     model: str | None = None,
     workers: int | None = None,
-    shards: int | str | None = None,
     stream=None,
 ) -> list[str]:
     """Diff a fresh run against the committed store and document.
@@ -287,10 +281,10 @@ def check_report(
     configuration is re-run, so a bare ``report check`` always compares
     like against like; explicit ``--quick``/``--nnz``/``--model`` are
     honoured and any disagreement with the committed manifest is
-    itself reported as drift.  ``workers``/``shards`` only change how
-    the fresh run executes (they are volatile manifest keys), so a
-    sharded parallel check proves the committed store byte-stable under
-    parallel execution.  Returns drift messages, empty if clean.
+    itself reported as drift.  ``workers`` only changes how the fresh
+    run executes (it is a volatile manifest key), so a pooled check
+    proves the committed store byte-stable under parallel execution.
+    Returns drift messages, empty if clean.
     """
     stream = sys.stdout if stream is None else stream
     committed = ResultStore(store_dir)
@@ -307,7 +301,6 @@ def check_report(
         "max_nnz": max_nnz if explicit_scale else manifest.get("scale_nnz"),
         "model": model or manifest.get("adapter_model"),
         "workers": workers,
-        "shards": shards,
         "matrices": None
         if explicit_scale
         else (tuple(committed_matrices) if committed_matrices else None),

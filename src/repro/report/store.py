@@ -9,9 +9,9 @@ holding
 * ``claims.csv`` — the machine-readable paper-claim verdicts
   (:func:`repro.report.claims.claim_verdicts`);
 * ``manifest.json`` — the run manifest: schema version, scale,
-  adapter model, matrix set, workers, shard setting, suite seed,
-  per-claim tolerances, engine cache hit/miss totals, and each
-  experiment's headline summary plus the sweep backends it ran on.
+  adapter model, matrix set, workers, suite seed, per-claim
+  tolerances, engine cache hit/miss totals, and each experiment's
+  headline summary plus the sweep backends it ran on.
 
 Byte stability is the store's core contract: cells are serialised with
 :func:`format_cell` (shortest-repr floats, ``\\n`` line endings) and
@@ -30,17 +30,18 @@ from pathlib import Path
 from ..errors import ExperimentError
 
 #: Bump when the on-disk layout of tables or manifest changes shape.
-#: v2: manifest gained ``shards``, ``cache`` and per-experiment
-#: ``backends`` records.
+#: v2: manifest gained ``cache`` and per-experiment ``backends``
+#: records.  Dropping a volatile key is not a shape change: the version
+#: is part of every committed manifest's identity, so a bump would read
+#: as drift.
 STORE_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
 #: Manifest keys that may legitimately differ between two runs of the
 #: same configuration (they do not affect any stored value): the
-#: worker fan-out, the shard setting, and the cache hit/miss totals
-#: (which depend on both).
-VOLATILE_MANIFEST_KEYS = ("workers", "shards", "cache")
+#: worker fan-out and the cache hit/miss totals (which depend on it).
+VOLATILE_MANIFEST_KEYS = ("workers", "cache")
 
 
 def format_cell(value) -> str:

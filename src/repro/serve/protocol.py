@@ -180,7 +180,7 @@ class CorpusRequest:
     def chunks(self, executor) -> Iterator[list[dict]]:
         # Ephemeral (no journal/store): the service's own cache layers
         # provide the warm path for repeated corpus jobs.
-        for _entry, _status, rows in self.runner(executor).iter_groups():
+        for _entry, _status, rows, _slug in self.runner(executor).iter_groups():
             if rows:
                 yield rows
 

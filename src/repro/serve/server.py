@@ -223,7 +223,6 @@ def service_stats(manager: JobManager) -> dict:
         "engine": dict(manager.executor.stats),
         "engine_last": dict(manager.executor.last_stats),
         "workers": manager.executor.workers,
-        "shards": manager.executor.shards,
         "response_cache_size": manager.cache_size,
         "trace": obs_trace.current_trace_id(),
         "metrics": obs_metrics.get_registry().snapshot(),

@@ -300,10 +300,44 @@ class TestCrashResume:
         assert rerun.counts["corpus_computed"] == 0
         assert tier_bytes(store) == reference
 
-    def test_pooled_and_sharded_match_serial(self, tmp_path, reference):
-        store, cache = tmp_path / "store", tmp_path / "cache"
-        run_tier(store, cache, executor=SweepExecutor(workers=2, shards="auto"))
-        assert tier_bytes(store) == reference
+    def test_source_digest_is_read_once_per_local_entry(
+        self, tmp_path, monkeypatch
+    ):
+        # A local entry's source file is read and hashed once per run,
+        # computed or resumed: its job key's slug travels from the
+        # entry to the tier manifest.
+        calls: list[str] = []
+        digest = MatrixCache.source_digest
+
+        def counting(cache, entry):
+            calls.append(entry.name)
+            return digest(cache, entry)
+
+        monkeypatch.setattr(MatrixCache, "source_digest", counting)
+        corpus = get_corpus("quick")
+        local = sorted(e.name for e in corpus.entries if e.source == "local")
+        assert len(local) == 4
+        for status in ("corpus_computed", "corpus_skipped"):
+            calls.clear()
+            runner = CorpusRunner(
+                corpus, store_dir=tmp_path / "store",
+                cache=MatrixCache(tmp_path / "cache"), max_nnz=TINY,
+            )
+            runner.run()
+            assert runner.counts[status] == len(corpus.entries)
+            assert sorted(calls) == local, status
+
+    def test_pooled_and_sharded_match_serial(self, tmp_path):
+        # A corpus run is one group per entry, so only a cycle-model
+        # tier splits its entries' variants over the pool.
+        serial = tmp_path / "serial"
+        run_tier(serial, tmp_path / "cache", model="cycle")
+        store = tmp_path / "store"
+        with SweepExecutor(workers=2) as executor:
+            run_tier(store, tmp_path / "cache", executor=executor, model="cycle")
+            assert executor.stats["tasks"] == 2 * 4
+            assert executor.stats["pool_spawns"] == 1
+        assert tier_bytes(store) == tier_bytes(serial)
 
     def test_identity_change_invalidates_the_journal(self, tmp_path):
         store, cache = tmp_path / "store", tmp_path / "cache"

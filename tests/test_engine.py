@@ -220,13 +220,17 @@ class TestPersistentPool:
     """The executor is a reusable resource: one pool across runs."""
 
     def points(self, variants=("MLPnc", "MLP64")):
-        return grid_points("adapter", ("msc01440",), variants, max_nnz=TINY)
+        # Two matrix groups on two workers: one task each, so every
+        # run that computes fans out over the pool.
+        return grid_points(
+            "adapter", ("msc01440", "pwtk"), variants, max_nnz=TINY
+        )
 
     def test_pool_survives_across_runs(self):
         # The second run's points are new to the executor, so its tasks
         # (not its row memo) answer them, on the same pool.
         unseen = self.points(("MLP128", "MLP256"))
-        executor = SweepExecutor(workers=2, shards=2)
+        executor = SweepExecutor(workers=2)
         try:
             executor.run(self.points())
             pool = executor._pool
@@ -242,7 +246,7 @@ class TestPersistentPool:
 
     def test_close_is_idempotent_and_respawns_on_demand(self):
         unseen = self.points(("MLP128", "MLP256"))
-        executor = SweepExecutor(workers=2, shards=2)
+        executor = SweepExecutor(workers=2)
         executor.run(self.points())
         executor.close()
         executor.close()
@@ -253,7 +257,7 @@ class TestPersistentPool:
         executor.close()
 
     def test_context_manager_releases_the_pool(self):
-        with SweepExecutor(workers=2, shards=2) as executor:
+        with SweepExecutor(workers=2) as executor:
             executor.run(self.points())
             assert executor._pool is not None
         assert executor._pool is None
@@ -264,7 +268,7 @@ class TestPersistentPool:
         monkeypatch.setitem(
             backends_mod._REGISTRY, ADAPTER_KIND, _DyingBackend(tmp_path / "died")
         )
-        with SweepExecutor(workers=2, shards=2) as executor:
+        with SweepExecutor(workers=2) as executor:
             assert executor.run(self.points()) == expected
             assert executor.stats["pool_spawns"] == 2
         assert (tmp_path / "died").exists()
@@ -272,7 +276,7 @@ class TestPersistentPool:
     @_FORKED_WORKERS
     def test_pool_broken_twice_raises(self, monkeypatch):
         monkeypatch.setitem(backends_mod._REGISTRY, ADAPTER_KIND, _DyingBackend(None))
-        with SweepExecutor(workers=2, shards=2) as executor:
+        with SweepExecutor(workers=2) as executor:
             with pytest.raises(BrokenProcessPool):
                 executor.run(self.points())
 
@@ -390,20 +394,28 @@ class TestRowMemo:
         assert executor.stats["row_hits"] == len(points)
 
     @pytest.mark.parametrize(
-        "workers,shards,tasks", [(1, 1, 1), (2, 4, 4)], ids=["serial", "sharded"]
+        "workers,model,matrices",
+        [(1, "fast", MATRICES), (2, "fast", MATRICES), (2, "cycle", ("msc01440",))],
+        ids=["serial", "pooled", "sharded"],
     )
     def test_overlapping_grid_computes_only_new_variants(
-        self, workers, shards, tasks
+        self, workers, model, matrices
     ):
-        overlap = self.grid(("MLPnc", "MLP8", "MLP16", "MLP64", "MLP128", "MLP256"))
-        with SweepExecutor(workers=workers, shards=shards) as executor:
-            executor.run(self.grid(("MLPnc", "MLP64")))
+        def grid(variants):
+            return grid_points(
+                "adapter", matrices, variants, max_nnz=4_000, model=model
+            )
+
+        overlap = grid(("MLPnc", "MLP8", "MLP16", "MLP64", "MLP128", "MLP256"))
+        with SweepExecutor(workers=workers) as executor:
+            executor.run(grid(("MLPnc", "MLP64")))
             rows = executor.run(overlap)
             stats = dict(executor.last_stats)
-        # Per matrix only the four new variants reach the backend; at
-        # shards=4 they split into one task each.
-        assert stats["row_hits"] == 4
-        assert (stats["groups"], stats["tasks"]) == (2, 2 * tasks)
+        # Per matrix only the four new variants reach the backend: one
+        # task per group, or, for the one cycle-model group on two
+        # workers, two chunks of two.
+        assert stats["row_hits"] == 2 * len(matrices)
+        assert (stats["groups"], stats["tasks"]) == (len(matrices), 2)
         assert rows == SweepExecutor(workers=1).run(overlap)
 
     def test_streamed_partial_group_carries_every_variant(self):

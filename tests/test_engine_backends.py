@@ -6,10 +6,15 @@ these tests pin its contract:
 * unknown kinds fail loudly (``repro.errors`` type, message lists the
   registered kinds) at both point construction and lookup;
 * duplicate registration is rejected unless explicitly replaced;
-* for **every** registered backend, any shard count produces tables
-  byte-identical to the serial run (property-based over shard counts);
+* for **every** registered backend, any split of a group into shard
+  tasks merges back to the serial rows (property-based over the
+  number of pieces);
 * a shard task is a chunk of a group's variants, never of a stream, so
-  a single-variant group is one task however many shards are asked for.
+  a single-variant group is one task however many pieces are asked for;
+* the executor plans the split itself: at ``workers > 1`` a
+  cycle-model group splits into ``ceil(workers / computed groups)``
+  chunks, every other group is one task, and one worker splits
+  nothing.
 """
 
 import pytest
@@ -24,8 +29,6 @@ from repro.engine import (
     grid_points,
     register_backend,
     registered_kinds,
-    resolve_shards,
-    shards_from_env,
 )
 from repro.engine.backends import AdapterBackend
 from repro.errors import ExperimentError, ReproError
@@ -33,6 +36,8 @@ from repro.errors import ExperimentError, ReproError
 from helpers import GRID_INPUTS, tiny_grid
 
 TINY = 12_000
+#: cycle-model scale: small enough for a tier-1 simulation
+CYCLE_NNZ = 4_000
 
 
 class TestRegistry:
@@ -86,18 +91,27 @@ class TestShardingMatchesSerial:
     @given(shards=st.integers(min_value=1, max_value=9))
     def test_sharded_equals_serial(self, kind, shards):
         points = tiny_grid(kind)
-        serial = SweepExecutor(workers=1, shards=1).run(points)
-        sharded = SweepExecutor(workers=1, shards=shards).run(points)
-        assert serial == sharded
+        serial = SweepExecutor(workers=1).run(points)
+        (key,) = {point.group_key for point in points}  # one matrix group
+        variants = tuple(point.variant for point in points)
+        backend = get_backend(kind)
+        tasks = backend.split(key, variants, shards)
+        cache = AnalysisCache()
+        payloads = [backend.run_group(key, task.variants, cache) for task in tasks]
+        assert backend.merge(key, variants, tasks, payloads) == serial
 
     def test_single_variant_group_runs_in_process(self):
-        # One variant, more shards than variants: the stream never
-        # splits, so the group is one task, which runs in-process
-        # without spawning the pool, and the row is the serial row.
+        # One variant of a cycle-model group on two workers: the rule
+        # asks for two pieces, but the stream never splits, so the
+        # group is one task, which runs in-process without spawning
+        # the pool, and the row is the serial row.
         for variant in ("MLP256", "MLP8", "SEQ256", "MLPnc"):
-            points = grid_points("adapter", ("pwtk",), (variant,), max_nnz=TINY)
-            serial = SweepExecutor(workers=1, shards=1).run(points)
-            with SweepExecutor(workers=2, shards=4) as executor:
+            points = grid_points(
+                "adapter", ("msc01440",), (variant,), max_nnz=CYCLE_NNZ,
+                model="cycle",
+            )
+            serial = SweepExecutor(workers=1).run(points)
+            with SweepExecutor(workers=2) as executor:
                 sharded = executor.run(points)
                 assert executor.last_stats["tasks"] == 1, variant
                 assert executor.stats["pool_spawns"] == 0, variant
@@ -107,8 +121,10 @@ class TestShardingMatchesSerial:
         points = (
             tiny_grid("adapter") + tiny_grid("system") + tiny_grid("multichannel")
         )
-        serial = SweepExecutor(workers=1, shards=1).run(points)
-        pooled = SweepExecutor(workers=2, shards=4).run(points)
+        serial = SweepExecutor(workers=1).run(points)
+        with SweepExecutor(workers=2) as executor:
+            pooled = executor.run(points)
+            assert executor.stats["pool_spawns"] == 1
         assert serial == pooled
 
     def test_adapter_split_shapes(self):
@@ -125,38 +141,55 @@ class TestShardingMatchesSerial:
             assert [t.variants for t in tasks] == [("a",)], model
 
 
-class TestShardKnobs:
-    def test_shards_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert shards_from_env() == 1
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert shards_from_env() == 4
-        monkeypatch.setenv("REPRO_SHARDS", "auto")
-        assert shards_from_env() == "auto"
-        monkeypatch.setenv("REPRO_SHARDS", "many")
-        with pytest.raises(ExperimentError):
-            shards_from_env()
-        monkeypatch.setenv("REPRO_SHARDS", "0")
-        with pytest.raises(ExperimentError):
-            shards_from_env()
+class TestSplitRule:
+    """The executor derives each group's split from the worker count,
+    the group's model and the number of groups the run computes."""
 
-    def test_resolve_shards(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_shards(None, 3) == 1
-        assert resolve_shards("auto", 3) == 3
-        assert resolve_shards(2, 3) == 2
-        monkeypatch.setenv("REPRO_SHARDS", "auto")
-        assert resolve_shards(None, 5) == 5
-        with pytest.raises(ExperimentError):
-            resolve_shards(0, 3)
+    def cycle_grid(self, matrices=("msc01440",), variants=("MLPnc", "MLP64")):
+        return grid_points(
+            "adapter", matrices, variants, max_nnz=CYCLE_NNZ, model="cycle"
+        )
+
+    def test_one_cycle_group_splits_over_the_pool(self):
+        points = self.cycle_grid(variants=("MLPnc", "MLP64", "MLP256"))
+        serial = SweepExecutor(workers=1).run(points)
+        with SweepExecutor(workers=2) as executor:
+            pooled = executor.run(points)
+            assert executor.last_stats["groups"] == 1
+            assert executor.last_stats["tasks"] == 2
+            assert executor.stats["pool_spawns"] == 1
+        assert pooled == serial
+
+    def test_one_fast_group_is_one_in_process_task(self):
+        points = grid_points(
+            "adapter", ("pwtk",), ("MLPnc", "MLP8", "MLP64", "MLP256"), max_nnz=TINY
+        )
+        with SweepExecutor(workers=2) as executor:
+            executor.run(points)
+            assert executor.last_stats["tasks"] == 1
+            assert executor.stats["pool_spawns"] == 0
+
+    @pytest.mark.parametrize("model", ["fast", "cycle"])
+    def test_as_many_groups_as_workers_is_one_task_each(self, model):
+        points = grid_points(
+            "adapter", ("msc01440", "pwtk"), ("MLPnc", "MLP64"),
+            max_nnz=CYCLE_NNZ, model=model,
+        )
+        _, _, tasks, _ = SweepExecutor(workers=2)._plan(points)
+        assert [t.variants for t in tasks] == [("MLPnc", "MLP64")] * 2
+
+    def test_one_worker_splits_nothing(self):
+        points = self.cycle_grid(variants=("MLPnc", "MLP8", "MLP64", "MLP256"))
+        _, _, tasks, _ = SweepExecutor(workers=1)._plan(points)
+        assert [t.variants for t in tasks] == [("MLPnc", "MLP8", "MLP64", "MLP256")]
 
     def test_executor_counts_tasks_and_cache_traffic(self):
-        executor = SweepExecutor(workers=1, shards=4)
+        executor = SweepExecutor(workers=1)
         executor.run(grid_points(
             "adapter", ("pwtk",), ("MLPnc", "MLP8", "MLP64", "MLP256"), max_nnz=TINY
         ))
         assert executor.last_stats["groups"] == 1
-        assert executor.last_stats["tasks"] == 4
+        assert executor.last_stats["tasks"] == 1
         total = executor.last_stats["cache_hits"] + executor.last_stats["cache_misses"]
         assert total > 0
         assert executor.stats["tasks"] == executor.last_stats["tasks"]

@@ -249,16 +249,18 @@ class TestWorkerPropagation:
     def test_pooled_sharded_run_yields_one_trace_tree(self):
         sink = obs.CollectingSink()
         trace.configure(sink)
-        # cycle model: the shard simulations profile in the workers and
-        # the bins must ship back with the spans
+        # cycle model: the one group splits over both workers, the
+        # shard simulations profile in the workers and the bins must
+        # ship back with the spans
         points = grid_points(
             "adapter", ("msc01440",), ("MLPnc", "MLP64"), max_nnz=4_000,
             model="cycle",
         )
         with profiler.profiled() as cycles:
-            with SweepExecutor(workers=2, shards="auto") as executor:
+            with SweepExecutor(workers=2) as executor:
                 with obs.span("request") as request:
                     rows = executor.run(points)
+                assert executor.stats["pool_spawns"] == 1
         assert len(rows) == 2
         records = sink.drain()
         runs = [r for r in records if r["name"] == "engine.run"]

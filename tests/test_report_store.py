@@ -169,19 +169,23 @@ class TestRunAndRender:
         assert one != two
         assert manifest_identity(one) == manifest_identity(two)
 
-    def test_manifest_records_shards_backends_and_cache(self, tmp_path):
-        _, _, manifest = fast_run(tmp_path, "a", workers=2, shards="auto")
-        assert manifest["shards"] == 2  # auto resolves to the workers
+    def test_manifest_records_backends_and_cache(self, tmp_path):
+        _, _, manifest = fast_run(tmp_path, "a", workers=2)
+        # the executor plans its own split; no shard setting is recorded
+        assert "shards" not in manifest
         assert set(manifest["cache"]) == {"hits", "misses", "evictions"}
         # paramless experiments never touch the engine
         assert manifest["experiments"]["fig6a"]["backends"] == []
         assert manifest["experiments"]["table1"]["backends"] == []
 
-    def test_shards_and_cache_are_volatile_in_identity(self, tmp_path):
-        _, _, one = fast_run(tmp_path, "a", shards=1)
-        _, _, two = fast_run(tmp_path, "b", shards=4)
-        assert one["shards"] != two["shards"]
+    def test_cache_is_volatile_in_identity(self, tmp_path):
+        _, _, one = fast_run(tmp_path, "a")
+        two = dict(one, cache={"hits": 7, "misses": 3, "evictions": 1})
+        assert one["cache"] != two["cache"]
         assert manifest_identity(one) == manifest_identity(two)
+        # a configuration key is never volatile
+        reseeded = dict(one, seed=one["seed"] + 1)
+        assert manifest_identity(reseeded) != manifest_identity(one)
 
     def test_render_report_reproduces_document(self, tmp_path):
         store_dir, doc, _ = fast_run(tmp_path)

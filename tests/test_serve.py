@@ -260,8 +260,9 @@ class TestServedRowsByteIdentical:
             "adapter", ("msc01440", "pwtk"), ("MLPnc", "MLP64"), max_nnz=TINY
         )
         serial = SweepExecutor(workers=1).run(points)
-        with SweepExecutor(workers=2, shards="auto") as pooled_exec:
+        with SweepExecutor(workers=2) as pooled_exec:
             pooled = pooled_exec.run(points)
+            assert pooled_exec.stats["pool_spawns"] == 1
         served = serial_manager().submit(
             {"cmd": "sweep", "matrices": ["msc01440", "pwtk"],
              "variants": ["MLPnc", "MLP64"], "max_nnz": TINY}
