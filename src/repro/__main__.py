@@ -104,7 +104,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import obs
+from . import hostmem, obs
 from .engine import SweepExecutor
 from .errors import ReproError
 from .experiments import format_table
@@ -463,6 +463,7 @@ def _corpus_run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    hostmem.retain_freed_memory()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] in (["--help"], ["-h"], ["help"]):
         print(__doc__)

@@ -161,9 +161,8 @@ def _analysis_matches(
     if count == 0:
         return True
     probes = np.linspace(0, count - 1, num=min(16, count), dtype=np.int64)
-    return bool(
-        np.array_equal(analysis.blocks[probes], indices[probes] // elements_per_block)
-    )
+    sampled = indices[probes].astype(np.int64) // elements_per_block
+    return bool(np.array_equal(analysis.blocks[probes], sampled))
 
 
 def previous_occurrence(blocks: np.ndarray) -> np.ndarray:
@@ -536,7 +535,7 @@ def fast_indirect_stream(
     timeline per channel: the ``multichannel`` sweep backend's fast path.
     """
     dram = dram_config or DramConfig()
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    indices = np.asarray(indices)
     elements_per_block = dram.access_bytes // config.element_bytes
     idx_txns = ceil_div(int(indices.size) * config.index_bytes, dram.access_bytes)
     window = config.coalescer.window if config.has_coalescer else None
@@ -545,9 +544,8 @@ def fast_indirect_stream(
     ):
         memory = analysis.memory_terms(window, idx_txns, dram, channels)
     else:
-        memory = price_memory(
-            indices // elements_per_block, idx_txns, window, dram, channels=channels
-        )
+        blocks = np.ascontiguousarray(indices, dtype=np.int64) // elements_per_block
+        memory = price_memory(blocks, idx_txns, window, dram, channels=channels)
     return price_variant(int(indices.size), config, dram, memory, variant)
 
 

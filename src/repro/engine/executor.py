@@ -69,7 +69,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, wait
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .. import obs
+from .. import hostmem, obs
 from ..errors import ExperimentError
 from ..obs import profiler as obs_profiler
 from ..obs import trace as obs_trace
@@ -125,11 +125,15 @@ def workers_from_env(default: int = 1) -> int:
 
 
 def _init_worker(config: dict) -> None:
-    """Pool initializer: seed worker-local telemetry state.
+    """Pool initializer: set the allocator policy and seed worker-local
+    telemetry state.
 
     Runs unconditionally in every worker so fork-inherited tracer state
-    (the parent's open NDJSON sink) is always replaced.
+    (the parent's open NDJSON sink) is always replaced, and so a worker
+    started by spawn or forkserver, which inherits no allocator
+    settings, keeps its freed temporaries as the CLI process does.
     """
+    hostmem.retain_freed_memory()
     obs.seed_worker(config)
 
 

@@ -391,7 +391,9 @@ def load_fastload(path: Path | str) -> CsrMatrix:
     if not path.is_file():
         raise CorpusError(f"no fast-load artifact at {path}")
     try:
-        with np.load(path) as data:
+        # np.load leaves a path it opened unclosed when the archive is
+        # unreadable, so the handle is ours to close.
+        with open(path, "rb") as handle, np.load(handle) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             row_ptr = data["row_ptr"]
             col_idx = data["col_idx"]

@@ -9,6 +9,8 @@ files can run the harness on the paper's real inputs.
 from __future__ import annotations
 
 import gzip
+import zlib
+from array import array
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -23,11 +25,10 @@ _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
 _SUPPORTED_SYMMETRIES = {"general", "symmetric"}
 
 
-def _open_text(path: str | Path) -> IO[str]:
-    path = Path(path)
+def _open_text(path: Path) -> IO[str]:
     if path.suffix == ".gz":
-        return gzip.open(path, "rt")
-    return open(path, "r")
+        return gzip.open(path, "rt", encoding="utf-8")
+    return open(path, "r", encoding="utf-8")
 
 
 def _data_lines(handle: IO[str]) -> Iterator[str]:
@@ -42,77 +43,93 @@ def read_matrix_market(path: str | Path) -> CsrMatrix:
 
     Symmetric matrices are expanded to their full (general) pattern,
     matching how the paper's SpMV consumes them.
+
+    Storage grows with the entries the file holds, never with the count
+    its size line declares.  Every malformed input (a bad line, a byte
+    that is not UTF-8, a ``.gz`` file that is not gzip or is cut short)
+    raises :class:`~repro.errors.SparseFormatError` naming the file.
     """
-    with _open_text(path) as handle:
-        header = handle.readline().strip()
-        parts = header.split()
-        if len(parts) != 5 or parts[0] != _HEADER_PREFIX:
-            raise SparseFormatError(f"bad MatrixMarket header: {header!r}")
-        _, kind, layout, field, symmetry = (p.lower() for p in parts)
-        if kind != "matrix" or layout != "coordinate":
-            raise SparseFormatError(
-                f"only coordinate matrices are supported, got {kind}/{layout}"
-            )
-        if field not in _SUPPORTED_FIELDS:
-            raise SparseFormatError(f"unsupported field type {field!r}")
-        if symmetry not in _SUPPORTED_SYMMETRIES:
-            raise SparseFormatError(f"unsupported symmetry {symmetry!r}")
+    path = Path(path)
+    try:
+        with _open_text(path) as handle:
+            return _read_coordinates(handle)
+    except SparseFormatError as exc:
+        raise SparseFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SparseFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise SparseFormatError(f"{path}: unreadable gzip data ({exc})") from exc
 
-        lines = _data_lines(handle)
-        try:
-            size_line = next(lines)
-        except StopIteration:
-            raise SparseFormatError("missing size line") from None
-        tokens = size_line.split()
-        if len(tokens) != 3:
+
+def _read_coordinates(handle: IO[str]) -> CsrMatrix:
+    header = handle.readline().strip()
+    parts = header.split()
+    if len(parts) != 5 or parts[0] != _HEADER_PREFIX:
+        raise SparseFormatError(f"bad MatrixMarket header: {header!r}")
+    _, kind, layout, field, symmetry = (p.lower() for p in parts)
+    if kind != "matrix" or layout != "coordinate":
+        raise SparseFormatError(
+            f"only coordinate matrices are supported, got {kind}/{layout}"
+        )
+    if field not in _SUPPORTED_FIELDS:
+        raise SparseFormatError(f"unsupported field type {field!r}")
+    if symmetry not in _SUPPORTED_SYMMETRIES:
+        raise SparseFormatError(f"unsupported symmetry {symmetry!r}")
+
+    lines = _data_lines(handle)
+    try:
+        size_line = next(lines)
+    except StopIteration:
+        raise SparseFormatError("missing size line") from None
+    tokens = size_line.split()
+    if len(tokens) != 3:
+        raise SparseFormatError(
+            f"bad size line {size_line!r}: expected 'nrows ncols nnz'"
+        )
+    try:
+        nrows, ncols, nnz = (int(tok) for tok in tokens)
+    except ValueError:
+        raise SparseFormatError(
+            f"bad size line {size_line!r}: dimensions must be integers"
+        ) from None
+    if nrows < 0 or ncols < 0 or nnz < 0:
+        raise SparseFormatError(
+            f"bad size line {size_line!r}: dimensions must be non-negative"
+        )
+
+    value_tokens = 2 if field == "pattern" else 3
+    rows, cols, vals = array("q"), array("q"), array("d")
+    count = 0
+    for line in lines:
+        if count >= nnz:
+            raise SparseFormatError(f"expected {nnz} entries, found more")
+        tokens = line.split()
+        if len(tokens) < value_tokens:
             raise SparseFormatError(
-                f"bad size line {size_line!r}: expected 'nrows ncols nnz'"
+                f"bad entry line {line!r}: expected at least "
+                f"{value_tokens} tokens"
             )
         try:
-            nrows, ncols, nnz = (int(tok) for tok in tokens)
+            row = int(tokens[0]) - 1
+            col = int(tokens[1]) - 1
+            val = float(tokens[2]) if field != "pattern" else 1.0
         except ValueError:
+            raise SparseFormatError(f"bad entry line {line!r}") from None
+        if not (0 <= row < nrows and 0 <= col < ncols):
             raise SparseFormatError(
-                f"bad size line {size_line!r}: dimensions must be integers"
-            ) from None
-        if nrows < 0 or ncols < 0 or nnz < 0:
-            raise SparseFormatError(
-                f"bad size line {size_line!r}: dimensions must be non-negative"
+                f"entry ({row + 1}, {col + 1}) outside the declared "
+                f"{nrows}x{ncols} shape"
             )
+        rows.append(row)
+        cols.append(col)
+        vals.append(val)
+        count += 1
+    if count != nnz:
+        raise SparseFormatError(f"expected {nnz} entries, found {count}")
 
-        value_tokens = 2 if field == "pattern" else 3
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        count = 0
-        for line in lines:
-            if count >= nnz:
-                raise SparseFormatError(
-                    f"expected {nnz} entries, found more"
-                )
-            tokens = line.split()
-            if len(tokens) < value_tokens:
-                raise SparseFormatError(
-                    f"bad entry line {line!r}: expected at least "
-                    f"{value_tokens} tokens"
-                )
-            try:
-                row = int(tokens[0]) - 1
-                col = int(tokens[1]) - 1
-                val = float(tokens[2]) if field != "pattern" else 1.0
-            except ValueError:
-                raise SparseFormatError(f"bad entry line {line!r}") from None
-            if not (0 <= row < nrows and 0 <= col < ncols):
-                raise SparseFormatError(
-                    f"entry ({row + 1}, {col + 1}) outside the declared "
-                    f"{nrows}x{ncols} shape"
-                )
-            rows[count] = row
-            cols[count] = col
-            vals[count] = val
-            count += 1
-        if count != nnz:
-            raise SparseFormatError(f"expected {nnz} entries, found {count}")
-
+    rows = np.frombuffer(rows, dtype=np.int64)
+    cols = np.frombuffer(cols, dtype=np.int64)
+    vals = np.frombuffer(vals, dtype=np.float64)
     if symmetry == "symmetric":
         off_diag = rows != cols
         mirrored_rows = cols[off_diag]

@@ -153,14 +153,18 @@ class TestFastMetrics:
         assert m.extras["model"] == 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64], ids=["uint32", "int64"])
 class TestStaleAnalysisGuard:
-    def test_mismatched_analysis_is_recomputed(self):
+    """The engine caches uint32 streams; callers may pass int64 ones.
+    Both must reach the same guard and the same fallback."""
+
+    def test_mismatched_analysis_is_recomputed(self, dtype):
         """A stale analysis (wrong stream length or geometry) must be
         ignored, not silently mixed with the new stream."""
         from repro.axipack.fastmodel import analyze_stream
 
-        short = banded_stream(1000)
-        full = banded_stream(4000)
+        short = banded_stream(1000).astype(dtype)
+        full = banded_stream(4000).astype(dtype)
         stale = analyze_stream(short, 8)
         cfg = mlp_config(64)
         with_stale = fast_indirect_stream(full, cfg, analysis=stale)
@@ -169,16 +173,39 @@ class TestStaleAnalysisGuard:
         assert with_stale.cycles == clean.cycles
 
 
-    def test_equal_length_different_stream_is_rejected(self):
+    def test_equal_length_different_stream_is_rejected(self, dtype):
         """The sampled content fingerprint catches a stale analysis
         from a different stream of identical length and geometry."""
         from repro.axipack.fastmodel import analyze_stream
 
-        a = banded_stream(4000, seed=1)
-        b = banded_stream(4000, seed=99)
+        a = banded_stream(4000, seed=1).astype(dtype)
+        b = banded_stream(4000, seed=99).astype(dtype)
         stale = analyze_stream(a, 8)
         cfg = mlp_config(64)
         with_stale = fast_indirect_stream(b, cfg, analysis=stale)
         clean = fast_indirect_stream(b, cfg)
         assert with_stale.elem_txns == clean.elem_txns
         assert with_stale.cycles == clean.cycles
+
+
+def test_matching_analysis_copies_no_uint32_stream():
+    """With a matching analysis only the guard's probes are cast: pricing
+    a variant over the engine's cached uint32 stream allocates far less
+    than the stream itself."""
+    import tracemalloc
+
+    from repro.axipack.fastmodel import analyze_stream
+
+    stream = banded_stream(60_000).astype(np.uint32)
+    analysis = analyze_stream(stream, 8)
+    cfg = mlp_config(64)
+    expected = fast_indirect_stream(stream, cfg)
+    fast_indirect_stream(stream, cfg, analysis=analysis)  # fills the memo
+    tracemalloc.start()
+    try:
+        metrics = fast_indirect_stream(stream, cfg, analysis=analysis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert metrics == expected
+    assert peak < stream.size

@@ -602,24 +602,26 @@ class TestHttpFrontEnd:
         events = self._post(server, "/experiment", {"name": "fig6a"})
         assert events[-1]["source"] in ("store", "computed")
 
+    @staticmethod
+    def _error_status(call, *args) -> int:
+        """The HTTP status of a call that must fail; closes its response."""
+        with pytest.raises(urllib.error.HTTPError) as failed:
+            call(*args)
+        with failed.value:
+            return failed.value.code
+
     def test_probes_and_errors(self, server):
         assert self._get(server, "/healthz") == {"ok": True}
         stats = self._get(server, "/stats")
         assert {"jobs", "engine", "workers"} <= set(stats)
-        with pytest.raises(urllib.error.HTTPError) as bad:
-            self._post(server, "/sweep", {"matrices": ["pwtk"]})
-        assert bad.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as missing:
-            self._post(server, "/nope", {})
-        assert missing.value.code == 404
+        assert self._error_status(self._post, server, "/sweep", {"matrices": ["pwtk"]}) == 400
+        assert self._error_status(self._post, server, "/nope", {}) == 404
         assert self._get(server, "/stats")["jobs"]["errors"] >= 1
         nested = urllib.request.Request(
             f"http://127.0.0.1:{server.server_address[1]}/sweep",
             data=b"[" * 100_000 + b"]" * 100_000,
         )
-        with pytest.raises(urllib.error.HTTPError) as deep:
-            urllib.request.urlopen(nested)
-        assert deep.value.code == 400
+        assert self._error_status(urllib.request.urlopen, nested) == 400
         assert self._get(server, "/healthz") == {"ok": True}
 
     def _raw_post(self, server, content_length: str) -> bytes:

@@ -132,6 +132,52 @@ def test_malformed_bodies_raise_sparse_format_error(tmp_path, body, fragment):
         read_matrix_market(path)
     # callers catch the repro hierarchy, never bare ValueError
     assert isinstance(excinfo.value, ReproError)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+GENERAL_HEADER = b"%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "name,content,fragment",
+    [
+        # a declared count no array could hold
+        ("huge.mtx", GENERAL_HEADER + b"2 2 9223372036854775807\n1 1 1.0\n",
+         "expected 9223372036854775807 entries, found 1"),
+        ("latin1.mtx", GENERAL_HEADER + b"% caf\xff\n1 1 1\n1 1 1.0\n",
+         "not UTF-8 text"),
+        ("plain.mtx.gz", GENERAL_HEADER + b"1 1 1\n1 1 1.0\n",
+         "unreadable gzip data"),
+        ("cut.mtx.gz",
+         gzip.compress(GENERAL_HEADER + b"1 1 1\n1 1 1.0\n" + b"%\n" * 100)[:-12],
+         "unreadable gzip data"),
+    ],
+    ids=["declared-2^63-1", "byte-0xff", "not-gzip", "cut-gzip"],
+)
+def test_unreadable_files_raise_sparse_format_error(tmp_path, name, content, fragment):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(SparseFormatError, match=fragment) as excinfo:
+        read_matrix_market(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_declared_count_allocates_nothing(tmp_path):
+    """A three-line file declaring 10^9 entries fails on the entries it
+    holds, before anything sized by the declared count is allocated
+    (24 GB for the three coordinate arrays)."""
+    import tracemalloc
+
+    path = tmp_path / "liar.mtx"
+    path.write_bytes(GENERAL_HEADER + b"2 2 1000000000\n1 1 1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SparseFormatError, match="found 1"):
+            read_matrix_market(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @st.composite
